@@ -32,6 +32,12 @@ from .states import BdsParams, make_bell_diagonal, make_werner, pauli_decompose
 from .swap import ChainSpec, NoiseModel, chain_swap, swap_once, swap_once_povm
 from .sweep import SweepConfig, round_floats, run_sweep, write_csv, write_summary_json
 
+# Per family: chain query type, link builder, closed-form C and F.
+_CLOSED_FORMS = {
+    "werner": (WernerChainQuery, make_werner, werner_chain_concurrence, werner_chain_fidelity),
+    "bds": (BdsChainQuery, make_bell_diagonal, bds_chain_concurrence, bds_chain_fidelity),
+}
+
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
@@ -122,12 +128,9 @@ def _cmd_chain(args) -> int:
     if engine == "closedform":
         if args.mode != "paper":
             raise ConfigError("the closedform engine implements paper mode only; use --engine oracle")
-        if args.family == "werner":
-            query = WernerChainQuery(tuple(params), NoiseModel(etas))
-            c_out, f_out = werner_chain_concurrence(query), werner_chain_fidelity(query)
-        else:
-            query = _as_bds_query("bds", params, etas)
-            c_out, f_out = bds_chain_concurrence(query), bds_chain_fidelity(query)
+        query_type, _, chain_concurrence, chain_fidelity = _CLOSED_FORMS[args.family]
+        query = query_type(tuple(params), NoiseModel(etas))
+        c_out, f_out = chain_concurrence(query), chain_fidelity(query)
         final = make_bell_diagonal(bds_final_correlations(_as_bds_query(args.family, params, etas)))
     else:
         final = chain_swap(ChainSpec(tuple(links), NoiseModel(etas)), mode=args.mode)
@@ -176,26 +179,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    rng = np.random.default_rng(args.seed)
-
-    werner_dev = 0.0
-    for _ in range(args.samples):
+def _werner_draws(rng, count: int):
+    """(visibilities, etas) of entangled Werner chains with 1..5 repeaters."""
+    for _ in range(count):
         n = int(rng.integers(1, 6))
         ps = 1.0 / 3.0 + (2.0 / 3.0) * rng.uniform(0.0, 1.0, size=n + 1)
-        etas = rng.uniform(0.0, 1.0, size=n)
-        query = WernerChainQuery(tuple(ps), NoiseModel(tuple(etas)))
-        final = chain_swap(ChainSpec(tuple(make_werner(p) for p in ps), NoiseModel(tuple(etas))))
-        werner_dev = max(
-            werner_dev,
-            abs(werner_chain_concurrence(query) - concurrence(final)),
-            abs(werner_chain_fidelity(query) - teleportation_fidelity(final)),
-        )
+        yield ps, rng.uniform(0.0, 1.0, size=n)
 
-    bds_dev = 0.0
-    for _ in range(max(1, args.samples // 10)):
+
+def _bds_draws(rng, count: int):
+    """(triples, etas) of Bell-diagonal chains with 1..4 repeaters; cube rejection."""
+    for _ in range(count):
         n = int(rng.integers(1, 5))
         ts = []
         while len(ts) < n + 1:
@@ -204,16 +198,31 @@ def _cmd_validate(args) -> int:
                 ts.append(BdsParams(*t))
             except EntswapError:
                 continue
-        etas = rng.uniform(0.0, 1.0, size=n)
-        query = BdsChainQuery(tuple(ts), NoiseModel(tuple(etas)))
-        final = chain_swap(
-            ChainSpec(tuple(make_bell_diagonal(t) for t in ts), NoiseModel(tuple(etas)))
+        yield ts, rng.uniform(0.0, 1.0, size=n)
+
+
+def _closedform_deviation(family: str, draws) -> float:
+    """Largest gap in C or F between the closed forms and chain_swap over the draws."""
+    query_type, make_link, chain_concurrence, chain_fidelity = _CLOSED_FORMS[family]
+    worst = 0.0
+    for params, etas in draws:
+        noise = NoiseModel(tuple(etas))
+        query = query_type(tuple(params), noise)
+        final = chain_swap(ChainSpec(tuple(make_link(p) for p in params), noise))
+        worst = max(
+            worst,
+            abs(chain_concurrence(query) - concurrence(final)),
+            abs(chain_fidelity(query) - teleportation_fidelity(final)),
         )
-        bds_dev = max(
-            bds_dev,
-            abs(bds_chain_concurrence(query) - concurrence(final)),
-            abs(bds_chain_fidelity(query) - teleportation_fidelity(final)),
-        )
+    return float(worst)
+
+
+def _cmd_validate(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    rng = np.random.default_rng(args.seed)
+    werner_dev = _closedform_deviation("werner", _werner_draws(rng, args.samples))
+    bds_dev = _closedform_deviation("bds", _bds_draws(rng, max(1, args.samples // 10)))
 
     norm_dev = 0.0
     for _ in range(args.samples):
@@ -225,7 +234,7 @@ def _cmd_validate(args) -> int:
         diff = abs(direct - subset_sum_normalization(etas)) / max(1.0, abs(direct))
         norm_dev = max(norm_dev, diff)
 
-    werner_dev, bds_dev, norm_dev = float(werner_dev), float(bds_dev), float(norm_dev)
+    norm_dev = float(norm_dev)
     passed = max(werner_dev, bds_dev, norm_dev) <= args.tol
     _emit(
         {

@@ -8,6 +8,7 @@ by the measuring node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,13 @@ def _checked_density_matrix(matrix, dim: int, label: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise InvalidStateError(f"{label} must be {dim}x{dim}, got shape {m.shape}")
+    # A NaN or infinite entry makes the defect NaN or inf, which fails the
+    # test below, so non-finite input never reaches eigvalsh.
     defect = np.abs(m - m.conj().T).max()
-    if defect > HERMITICITY_TOL:
-        raise InvalidStateError(f"{label} is not Hermitian (defect {defect:.3e})")
+    if not defect <= HERMITICITY_TOL:
+        raise InvalidStateError(f"{label} is not a finite Hermitian matrix (defect {defect:.3e})")
     trace = m.trace()
-    if abs(trace - 1.0) > TRACE_TOL:
+    if not abs(trace - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"{label} has trace {trace.real:.12g}, expected 1")
     m = (m + m.conj().T) / 2.0
     smallest = np.linalg.eigvalsh(m)[0]
@@ -158,6 +161,8 @@ class BdsParams:
     t3: float
 
     def __post_init__(self):
+        if not all(math.isfinite(t) for t in self.as_tuple()):
+            raise InvalidParametersError(f"correlations {self.as_tuple()} must be finite")
         smallest = min(self.eigenvalues())
         if smallest < -PSD_TOL:
             raise InvalidParametersError(

@@ -8,8 +8,10 @@ measurement with success probability eta:
   identity, rho -> (eta rho + (1 - eta) I_4) / (4 - 3 eta).  A chain of
   maximally entangled links then loses all entanglement at eta <= 2/3.
 * ``povm`` mode applies the noisy measurement operators
-  M_k = eta P_k + (1 - eta)/4 I_4 directly, which instead mixes in the
-  normalized identity and keeps entanglement down to eta > 1/3.
+  M_k = eta P_k + (1 - eta)/4 I_4 directly, which instead mixes in
+  rho_1 (x) I/2, rho_1 being the left link's outer-qubit marginal, and
+  keeps entanglement of perfect links down to eta > 1/3.  For Werner and
+  Bell-diagonal links rho_1 = I/2, so the noise term is I_4/4.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ _PROJECTOR_STACK = np.stack(_PROJECTORS).reshape(4, 2, 2, 2, 2)
 # Pauli label via |B_sigma> = (I (x) sigma)|phi+>; undoing that label folds
 # every outcome of a Bell-diagonal input into one and the same state.
 _CORRECTION_INDEX = {"phi+": 0, "psi+": 1, "psi-": 2, "phi-": 3}
-_CORRECTIONS = tuple(
-    np.kron(_I2, PAULI[_CORRECTION_INDEX[label]]) for label in OUTCOME_LABELS
+_CORRECTIONS = np.stack(
+    [np.kron(_I2, PAULI[_CORRECTION_INDEX[label]]) for label in OUTCOME_LABELS]
 )
 
 
@@ -134,31 +136,24 @@ def _perfect_conditionals(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray
     return out.reshape(4, 4, 4)
 
 
+def _corrected_conditionals(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
+    """Unnormalized conditional states of all four outcomes, each corrected.
+
+    The corrections are unitary, so the traces are the outcome probabilities.
+    """
+    return _CORRECTIONS @ _perfect_conditionals(left_m, right_m) @ _CORRECTIONS
+
+
 def _perfect_outcomes(left_m: np.ndarray, right_m: np.ndarray):
-    """Probabilities and corrected conditional matrices of the four outcomes."""
-    conditionals = _perfect_conditionals(left_m, right_m)
-    probs, states = [], []
-    for conditional, corr in zip(conditionals, _CORRECTIONS):
-        p = conditional.trace().real
-        if p < NEGLIGIBLE_PROBABILITY:
-            probs.append(p)
-            states.append(None)
-            continue
-        probs.append(p)
-        states.append(corr @ (conditional / p) @ corr)
-    return probs, states
+    """Probabilities, unnormalized corrected states and kept-outcome mask."""
+    corrected = _corrected_conditionals(left_m, right_m)
+    probs = np.trace(corrected, axis1=1, axis2=2).real
+    return probs, corrected, probs >= NEGLIGIBLE_PROBABILITY
 
 
 def _perfect_average(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
-    probs, states = _perfect_outcomes(left_m, right_m)
-    total = 0.0
-    acc = np.zeros((4, 4), dtype=complex)
-    for p, s in zip(probs, states):
-        if s is None:
-            continue
-        acc += p * s
-        total += p
-    return acc / total
+    probs, corrected, kept = _perfect_outcomes(left_m, right_m)
+    return corrected[kept].sum(axis=0) / probs[kept].sum()
 
 
 def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
@@ -169,14 +164,13 @@ def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
     outcomes are flagged and omitted).  For Bell-diagonal inputs all four
     corrected outcomes coincide, so averaging is lossless there.
     """
-    probs, states = _perfect_outcomes(_as_matrix(left), _as_matrix(right))
+    left_m, right_m = _as_matrix(left), _as_matrix(right)
+    probs, corrected, kept = _perfect_outcomes(left_m, right_m)
     outcomes = tuple(
-        SwapOutcome(label, p, None if s is None else TwoQubitState(s), s is None)
-        for label, p, s in zip(OUTCOME_LABELS, probs, states)
+        SwapOutcome(label, p, TwoQubitState(c / p) if k else None, not k)
+        for label, p, c, k in zip(OUTCOME_LABELS, probs, corrected, kept)
     )
-    total = sum(p for p, s in zip(probs, states) if s is not None)
-    acc = sum(p * s for p, s in zip(probs, states) if s is not None)
-    averaged = TwoQubitState(acc / total)
+    averaged = TwoQubitState(_perfect_average(left_m, right_m))
     return SwapResult(outcomes, averaged, averaged)
 
 
@@ -192,17 +186,12 @@ def swap_once(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubit
 
 
 def _swap_once_povm_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) -> np.ndarray:
-    conditionals = _perfect_conditionals(left_m, right_m)
-    # the identity part of each noisy operator conditions nothing, leaving
-    # the bare marginals of the outer qubits
-    marginals = np.kron(
-        np.einsum("ijkj->ik", left_m.reshape(2, 2, 2, 2)),
-        np.einsum("ijik->jk", right_m.reshape(2, 2, 2, 2)),
-    )
-    acc = np.zeros((4, 4), dtype=complex)
-    for conditional, corr in zip(conditionals, _CORRECTIONS):
-        noisy = eta * conditional + (1.0 - eta) / 4.0 * marginals
-        acc += corr @ noisy @ corr
+    # The identity part of each noisy operator conditions nothing and leaves
+    # rho_1 (x) rho_4 / 4.  Its four corrected copies sum to 2 rho_1 (x) I,
+    # because sum_sigma sigma B sigma = 2 Tr(B) I and Tr(rho_4) = 1.
+    left_marginal = np.einsum("ijkj->ik", left_m.reshape(2, 2, 2, 2))
+    acc = eta * _corrected_conditionals(left_m, right_m).sum(axis=0)
+    acc += (1.0 - eta) / 2.0 * np.kron(left_marginal, _I2)
     return acc / acc.trace().real
 
 

@@ -3,13 +3,15 @@
 A sweep walks a set of (n, eta) cells.  Random-mode samples are drawn from
 a counter-based generator keyed by (seed, sample index), so sample k sees
 the same link states in every cell and results do not depend on evaluation
-order or parallelism.  Grid mode enumerates deterministic parameter grids:
+order.  Grid mode enumerates deterministic parameter grids:
 the Cartesian product of per-link visibility grids for the Werner family,
 and one shared correlation triple per grid point (identical links) for the
 Bell-diagonal family.
 
-Set ENTSWAP_THREADS to evaluate samples of a cell in a thread pool; output
-is identical to the serial run.
+Cells are evaluated serially, one sample at a time: the links of each
+sample are drawn or built as its record is made.  ENTSWAP_THREADS is still
+read and must be an integer if set, but it selects nothing; a thread pool
+over these small numpy calls measured slower than the serial loop.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import product
 
@@ -284,15 +285,15 @@ def _make_record(config, index, n, etas, link_params, links) -> SweepRecord:
     )
 
 
-def _random_record(config: SweepConfig, index: int, n: int, etas) -> SweepRecord:
-    rng = link_generator(config.seed, index)
-    drawn = [
-        sample_state(config.family, rng, config.entangled_inputs_only)
-        for _ in range(n + 1)
-    ]
-    link_params = [params for params, _ in drawn]
-    links = [state for _, state in drawn]
-    return _make_record(config, index, n, etas, link_params, links)
+def _random_links(config: SweepConfig, n: int):
+    """Yield (link_params, links) for each sample, drawn from its own stream."""
+    for index in range(config.sample_count):
+        rng = link_generator(config.seed, index)
+        drawn = [
+            sample_state(config.family, rng, config.entangled_inputs_only)
+            for _ in range(n + 1)
+        ]
+        yield tuple(params for params, _ in drawn), [state for _, state in drawn]
 
 
 def _grid_links(config: SweepConfig, n: int):
@@ -302,7 +303,7 @@ def _grid_links(config: SweepConfig, n: int):
         if config.entangled_inputs_only:
             axis = [p for p in axis if p > 1.0 / 3.0]
         for combo in product(axis, repeat=n + 1):
-            yield tuple(WernerParams(p) for p in combo)
+            yield tuple(WernerParams(p) for p in combo), None
     else:
         axis = [-1.0 + 2.0 * i / steps for i in range(steps + 1)]
         for t1, t2, t3 in product(axis, repeat=3):
@@ -311,25 +312,18 @@ def _grid_links(config: SweepConfig, n: int):
             params = BdsParams(t1, t2, t3)
             if config.entangled_inputs_only and concurrence_bds(params) <= 0.0:
                 continue
-            yield (params,) * (n + 1)
+            yield (params,) * (n + 1), None
 
 
-def _thread_count() -> int:
+def _check_thread_setting() -> None:
+    """Reject a non-integer ENTSWAP_THREADS; its value selects nothing."""
     raw = os.environ.get("ENTSWAP_THREADS")
     if raw is None:
-        return 1
+        return
     try:
-        workers = int(raw)
+        int(raw)
     except ValueError:
         raise ConfigError(f"ENTSWAP_THREADS must be an integer, got {raw!r}") from None
-    return max(1, workers)
-
-
-def _map_ordered(func, items, workers: int) -> list:
-    if workers <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
@@ -339,23 +333,15 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     inside each cell.  Identical configs produce identical records.
     """
     plan = _validate_config(config)
-    workers = _thread_count()
+    _check_thread_setting()
+    link_source = _random_links if config.mode == "random" else _grid_links
     records: list[SweepRecord] = []
     cells = []
     for n, eta_label, etas in plan:
-        if config.mode == "random":
-            cell_records = _map_ordered(
-                lambda idx, n=n, etas=etas: _random_record(config, idx, n, etas),
-                range(config.sample_count),
-                workers,
-            )
-        else:
-            grid = list(enumerate(_grid_links(config, n)))
-            cell_records = _map_ordered(
-                lambda item, n=n, etas=etas: _make_record(config, item[0], n, etas, item[1], None),
-                grid,
-                workers,
-            )
+        cell_records = [
+            _make_record(config, index, n, etas, link_params, links)
+            for index, (link_params, links) in enumerate(link_source(config, n))
+        ]
         records.extend(cell_records)
         cells.append(
             {

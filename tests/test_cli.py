@@ -57,6 +57,13 @@ def test_swap_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_non_finite_input_is_a_usage_error(capsys):
+    assert run(["swap", "--family", "bds", "--t", "(nan,0,0);(1,-1,1)"]) == 2
+    assert run(["swap", "--family", "werner", "--p", "nan,0.5"]) == 2
+    assert run(["chain", "--family", "bds", "--t", "(inf,0,0);(1,-1,1)", "--etas", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_chain_closedform_example(capsys):
     code, payload = run_json(
         capsys, ["chain", "--family", "werner", "--p", "0.9,0.9,0.9", "--etas", "1,1"]

@@ -270,3 +270,21 @@ def test_werner_params_domain():
     assert WernerParams(0.5).p == 0.5
     with pytest.raises(DomainError):
         WernerParams(-0.01)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_constructor_rejects_non_finite_entries(bad):
+    from entswap import TwoQubitState
+
+    for pos in ((0, 0), (0, 1)):
+        m = np.eye(4, dtype=complex) / 4
+        m[pos] = bad
+        with pytest.raises(InvalidStateError, match="finite"):
+            TwoQubitState(m)
+
+
+@pytest.mark.parametrize("triple", [(np.nan, 0, 0), (0, 0, np.nan), (np.inf, -np.inf, 0), (np.inf, 0, 0)])
+def test_bds_params_reject_non_finite(triple):
+    with pytest.raises(InvalidParametersError):
+        BdsParams(*triple)

@@ -187,6 +187,38 @@ def test_swap_once_povm_matches_definition_for_general_states():
         assert np.abs(swap_once_povm(left, right, eta).matrix - expected).max() < 1e-12
 
 
+def test_perfect_average_and_povm_noise_match_definition_for_general_states():
+    # brute-force route: rho_out = sum_o corr_o Tr_23[(I x P_o x I)(L x R)] corr_o
+    from entswap.states import PAULI, _ptrace_mid
+
+    rng = np.random.default_rng(45)
+    i2 = np.eye(2, dtype=complex)
+    corr_by_label = {"phi+": PAULI[0], "psi+": PAULI[1], "psi-": PAULI[2], "phi-": PAULI[3]}
+    zero_zero = TwoQubitState(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    pairs = [(random_state(rng), random_state(rng)) for _ in range(10)]
+    pairs.append((zero_zero, zero_zero))
+    for left, right in pairs:
+        joint = np.kron(left.matrix, right.matrix)
+        expected = np.zeros((4, 4), dtype=complex)
+        for label in OUTCOME_LABELS:
+            projector = bell_state(label).matrix
+            mid = np.kron(np.kron(i2, projector), i2)
+            corr = np.kron(i2, corr_by_label[label])
+            expected += corr @ _ptrace_mid(mid @ joint) @ corr
+        assert np.abs(swap_once_perfect(left, right).averaged.matrix - expected).max() < 1e-12
+
+        # eta = 0 leaves only noise: the left outer marginal next to a fully mixed qubit
+        left_marginal = np.trace(left.matrix.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+        noise = np.kron(left_marginal, i2 / 2)
+        assert np.abs(swap_once_povm(left, right, 0.0).matrix - noise).max() < 1e-12
+
+    # |00> (x) |00> never yields a psi outcome: those two are flagged and dropped
+    result = swap_once_perfect(zero_zero, zero_zero)
+    negligible = {o.label: o.negligible for o in result.per_outcome}
+    assert negligible == {"phi+": False, "phi-": False, "psi+": True, "psi-": True}
+    assert all(o.state is None for o in result.per_outcome if o.negligible)
+
+
 @pytest.mark.parametrize("mode", ["paper", "povm"])
 def test_werner_family_closure_both_conventions(mode):
     rng = np.random.default_rng(44)
