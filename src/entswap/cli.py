@@ -16,27 +16,24 @@ import numpy as np
 from .closedform import (
     UNBOUNDED,
     BdsChainQuery,
-    WernerChainQuery,
-    bds_chain_concurrence,
-    bds_chain_fidelity,
     bds_final_correlations,
     eta_threshold,
     max_entangled_swaps,
     subset_sum_normalization,
-    werner_chain_concurrence,
-    werner_chain_fidelity,
 )
 from .errors import ConfigError, EntswapError
-from .measures import concurrence, concurrence_bds, concurrence_werner, teleportation_fidelity
-from .states import BdsParams, make_bell_diagonal, make_werner, pauli_decompose
-from .swap import ChainSpec, NoiseModel, chain_swap, swap_once, swap_once_povm
-from .sweep import SweepConfig, round_floats, run_sweep, write_csv, write_summary_json
-
-# Per family: chain query type, link builder, closed-form C and F.
-_CLOSED_FORMS = {
-    "werner": (WernerChainQuery, make_werner, werner_chain_concurrence, werner_chain_fidelity),
-    "bds": (BdsChainQuery, make_bell_diagonal, bds_chain_concurrence, bds_chain_fidelity),
-}
+from .states import BdsParams, WernerParams, make_bell_diagonal, pauli_decompose
+from .swap import NoiseModel
+from .sweep import (
+    SweepConfig,
+    check_engine,
+    evaluate_chain,
+    input_concurrences,
+    round_floats,
+    run_sweep,
+    write_csv,
+    write_summary_json,
+)
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -61,25 +58,17 @@ def _parse_triples(text: str) -> list[BdsParams]:
     return triples
 
 
-def _parse_links(args) -> tuple[list, list]:
-    """Per-family link parameters and constructed states, in chain order."""
+def _parse_links(args) -> list:
+    """Per-family link parameters, in chain order."""
     if args.family == "werner":
         if args.p is None:
             raise ConfigError("--family werner requires --p")
-        params = _parse_floats(args.p, "--p")
-        return params, [make_werner(p) for p in params]
+        return [WernerParams(p) for p in _parse_floats(args.p, "--p")]
     if args.family == "bds":
         if args.t is None:
             raise ConfigError("--family bds requires --t")
-        params = _parse_triples(args.t)
-        return params, [make_bell_diagonal(t) for t in params]
+        return _parse_triples(args.t)
     raise ConfigError(f"unsupported family {args.family!r}; use werner or bds")
-
-
-def _input_concurrences(family: str, params) -> list[float]:
-    if family == "werner":
-        return [concurrence_werner(p) for p in params]
-    return [concurrence_bds(t) for t in params]
 
 
 def _bloch_json(state) -> dict:
@@ -91,59 +80,47 @@ def _emit(payload: dict) -> None:
     print(json.dumps(round_floats(payload), indent=2))
 
 
-def _cmd_swap(args) -> int:
-    params, links = _parse_links(args)
-    if len(links) != 2:
-        raise ConfigError(f"swap takes exactly two links, got {len(links)}")
-    swap = swap_once if args.mode == "paper" else swap_once_povm
-    final = swap(links[0], links[1], args.eta)
-    _emit(
-        {
-            "c_in": _input_concurrences(args.family, params),
-            "c_out": concurrence(final),
-            "f_out": teleportation_fidelity(final),
-            "final_state_bloch": _bloch_json(final),
-        }
-    )
-    return 0
-
-
 def _as_bds_query(family: str, params, etas) -> BdsChainQuery:
     # a visibility-p link is the Bell-diagonal point (-p, -p, -p)
     if family == "werner":
-        ts = tuple(BdsParams(-p, -p, -p) for p in params)
+        ts = tuple(BdsParams(-p.p, -p.p, -p.p) for p in params)
     else:
         ts = tuple(params)
     return BdsChainQuery(ts, NoiseModel(etas))
 
 
-def _cmd_chain(args) -> int:
-    params, links = _parse_links(args)
-    if len(links) < 2:
-        raise ConfigError("chain needs at least two links")
-    etas = _parse_floats(args.etas, "--etas")
-    if len(etas) != len(links) - 1:
-        raise ConfigError(f"{len(links)} links require {len(links) - 1} eta values, got {len(etas)}")
-    engine = args.engine or ("closedform" if args.mode == "paper" else "oracle")
-    if engine == "closedform":
-        if args.mode != "paper":
-            raise ConfigError("the closedform engine implements paper mode only; use --engine oracle")
-        query_type, _, chain_concurrence, chain_fidelity = _CLOSED_FORMS[args.family]
-        query = query_type(tuple(params), NoiseModel(etas))
-        c_out, f_out = chain_concurrence(query), chain_fidelity(query)
+def _chain_report(args, params, etas, engine: str) -> int:
+    c_out, f_out, final = evaluate_chain(args.family, engine, args.mode, params, etas)
+    if final is None:
         final = make_bell_diagonal(bds_final_correlations(_as_bds_query(args.family, params, etas)))
-    else:
-        final = chain_swap(ChainSpec(tuple(links), NoiseModel(etas)), mode=args.mode)
-        c_out, f_out = concurrence(final), teleportation_fidelity(final)
     _emit(
         {
-            "c_in": _input_concurrences(args.family, params),
+            "c_in": input_concurrences(args.family, params),
             "c_out": c_out,
             "f_out": f_out,
             "final_state_bloch": _bloch_json(final),
         }
     )
     return 0
+
+
+def _cmd_swap(args) -> int:
+    params = _parse_links(args)
+    if len(params) != 2:
+        raise ConfigError(f"swap takes exactly two links, got {len(params)}")
+    return _chain_report(args, params, [args.eta], "oracle")
+
+
+def _cmd_chain(args) -> int:
+    params = _parse_links(args)
+    if len(params) < 2:
+        raise ConfigError("chain needs at least two links")
+    etas = _parse_floats(args.etas, "--etas")
+    if len(etas) != len(params) - 1:
+        raise ConfigError(f"{len(params)} links require {len(params) - 1} eta values, got {len(etas)}")
+    engine = args.engine or ("closedform" if args.mode == "paper" else "oracle")
+    check_engine(args.family, engine, args.mode)
+    return _chain_report(args, params, etas, engine)
 
 
 def _cmd_threshold(args) -> int:
@@ -184,7 +161,7 @@ def _werner_draws(rng, count: int):
     for _ in range(count):
         n = int(rng.integers(1, 6))
         ps = 1.0 / 3.0 + (2.0 / 3.0) * rng.uniform(0.0, 1.0, size=n + 1)
-        yield ps, rng.uniform(0.0, 1.0, size=n)
+        yield [WernerParams(float(p)) for p in ps], rng.uniform(0.0, 1.0, size=n)
 
 
 def _bds_draws(rng, count: int):
@@ -202,18 +179,12 @@ def _bds_draws(rng, count: int):
 
 
 def _closedform_deviation(family: str, draws) -> float:
-    """Largest gap in C or F between the closed forms and chain_swap over the draws."""
-    query_type, make_link, chain_concurrence, chain_fidelity = _CLOSED_FORMS[family]
+    """Largest gap in C or F between the closedform and oracle engines over the draws."""
     worst = 0.0
     for params, etas in draws:
-        noise = NoiseModel(tuple(etas))
-        query = query_type(tuple(params), noise)
-        final = chain_swap(ChainSpec(tuple(make_link(p) for p in params), noise))
-        worst = max(
-            worst,
-            abs(chain_concurrence(query) - concurrence(final)),
-            abs(chain_fidelity(query) - teleportation_fidelity(final)),
-        )
+        c_closed, f_closed, _ = evaluate_chain(family, "closedform", "paper", params, etas)
+        c_oracle, f_oracle, _ = evaluate_chain(family, "oracle", "paper", params, etas)
+        worst = max(worst, abs(c_closed - c_oracle), abs(f_closed - f_oracle))
     return float(worst)
 
 
@@ -257,20 +228,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    swap = sub.add_parser("swap", help="single swap of two links")
-    swap.add_argument("--family", required=True, choices=["werner", "bds"])
-    swap.add_argument("--p", help="comma-separated link visibilities (werner)")
-    swap.add_argument("--t", help="semicolon-separated correlation triples (bds), e.g. '(1,-1,1);(1,-1,1)'")
+    links = argparse.ArgumentParser(add_help=False)
+    links.add_argument("--family", required=True, choices=["werner", "bds"])
+    links.add_argument("--p", help="comma-separated link visibilities (werner)")
+    links.add_argument("--t", help="semicolon-separated correlation triples (bds), e.g. '(1,-1,1);(1,-1,1)'")
+    links.add_argument("--mode", choices=["paper", "povm"], default="paper")
+
+    swap = sub.add_parser("swap", parents=[links], help="single swap of two links")
     swap.add_argument("--eta", type=float, default=1.0, help="measurement success probability")
-    swap.add_argument("--mode", choices=["paper", "povm"], default="paper")
     swap.set_defaults(func=_cmd_swap)
 
-    chain = sub.add_parser("chain", help="sequential swaps along a chain of links")
-    chain.add_argument("--family", required=True, choices=["werner", "bds"])
-    chain.add_argument("--p", help="comma-separated link visibilities (werner)")
-    chain.add_argument("--t", help="semicolon-separated correlation triples (bds)")
+    chain = sub.add_parser("chain", parents=[links], help="sequential swaps along a chain of links")
     chain.add_argument("--etas", required=True, help="comma-separated per-node success probabilities")
-    chain.add_argument("--mode", choices=["paper", "povm"], default="paper")
     chain.add_argument("--engine", choices=["closedform", "oracle"], default=None)
     chain.set_defaults(func=_cmd_chain)
 
@@ -305,9 +274,6 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EntswapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

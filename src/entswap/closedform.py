@@ -16,16 +16,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .measures import concurrence_bds
+from .measures import FLAG_MARGIN, concurrence_bds
 from .states import BdsParams
 from .swap import NoiseModel
 
 #: Returned by max_entangled_swaps when no number of swaps kills entanglement.
 UNBOUNDED = math.inf
-
-# Relative slack on the entanglement inequality; boundary equality counts
-# as not entangled.
-_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,13 +131,14 @@ def visibility_product_threshold() -> float:
 
 
 def _entangled_after(n: int, eta: float, p: float) -> bool:
-    # log-space form of 3 p^(n+1) eta^n > (4 - 3 eta)^n, robust for large n
+    # log-space form of 3 p^(n+1) eta^n > (4 - 3 eta)^n, robust for large n;
+    # the flag margin makes boundary equality count as not entangled
     margin = (
         math.log(3.0)
         + (n + 1) * math.log(p)
         + n * (math.log(eta) - math.log(4.0 - 3.0 * eta))
     )
-    return margin > _SLACK
+    return margin > FLAG_MARGIN
 
 
 def max_entangled_swaps(eta: float, p: float) -> int | float:

@@ -17,6 +17,11 @@ _YY = np.kron(
 #: A state is useful as a teleportation channel only above this fidelity.
 CLASSICAL_FIDELITY = 2.0 / 3.0
 
+#: Margin of the threshold flags: a value within it of a strict threshold
+#: (C > 0, F > 2/3) reads as on the threshold, so last-bit rounding noise
+#: cannot flip a flag.
+FLAG_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class MeasureReport:
@@ -31,15 +36,18 @@ class MeasureReport:
 def concurrence(state) -> float:
     """Spin-flip concurrence of a two-qubit state.
 
-    C = max(0, sqrt(mu1) - sqrt(mu2) - sqrt(mu3) - sqrt(mu4)) where mu_i
-    are the descending eigenvalues of rho (sy x sy) rho* (sy x sy) and the
-    conjugate is entrywise in the computational basis.
+    C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of
+    the eigenvalues of rho (sy x sy) rho* (sy x sy).  They are taken, as in
+    Wootters (PRL 80, 2245, 1998), as the singular values of
+    V^T (sy x sy) V, where the columns of V are the eigenvectors of rho
+    scaled by the square roots of their eigenvalues.  This keeps full
+    precision on rank-deficient states, where square roots of the product's
+    eigenvalues turn rounding noise of 1e-17 into errors of 1e-8.
     """
-    m = _as_matrix(state)
-    product = m @ _YY @ m.conj() @ _YY
-    # abs() guards sqrt against fp-negative eigenvalues of the product
-    mu = np.sqrt(np.abs(np.sort(np.linalg.eigvals(product).real)[::-1]))
-    return max(0.0, mu[0] - mu[1] - mu[2] - mu[3])
+    w, v = np.linalg.eigh(_as_matrix(state))
+    scaled = v * np.sqrt(np.maximum(w, 0.0))
+    lam = np.linalg.svd(scaled.T @ _YY @ scaled, compute_uv=False)
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
 def concurrence_werner(p: float) -> float:
@@ -78,8 +86,13 @@ def octahedron_separable(params: BdsParams | tuple) -> bool:
     return abs(params.t1) + abs(params.t2) + abs(params.t3) <= 1.0
 
 
+def flags(c: float, f: float) -> tuple[bool, bool]:
+    """(entangled, useful): C > FLAG_MARGIN and F > 2/3 + FLAG_MARGIN."""
+    return c > FLAG_MARGIN, f > CLASSICAL_FIDELITY + FLAG_MARGIN
+
+
 def report(state) -> MeasureReport:
-    """Bundle concurrence, fidelity and the strict threshold flags."""
+    """Bundle concurrence, fidelity and the threshold flags of :func:`flags`."""
     c = concurrence(state)
     f = teleportation_fidelity(state)
-    return MeasureReport(c, f, c > 0.0, f > CLASSICAL_FIDELITY)
+    return MeasureReport(c, f, *flags(c, f))

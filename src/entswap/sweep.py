@@ -33,7 +33,7 @@ from .closedform import (
     werner_chain_fidelity,
 )
 from .errors import ConfigError
-from .measures import CLASSICAL_FIDELITY, concurrence, concurrence_bds, concurrence_werner, teleportation_fidelity
+from .measures import concurrence, concurrence_bds, concurrence_werner, flags, teleportation_fidelity
 from .states import BdsParams, TwoQubitState, WernerParams, make_bell_diagonal, make_werner, pauli_decompose
 from .swap import ChainSpec, NoiseModel, chain_swap
 
@@ -164,7 +164,7 @@ def sample_state(family: str, rng: np.random.Generator, entangled_inputs_only: b
             return pauli_decompose(state), state
     else:
         raise ConfigError(f"unknown family {family!r}")
-    raise RuntimeError(f"rejection sampling for {family!r} did not converge")
+    raise ConfigError(f"rejection sampling for {family!r} did not converge")
 
 
 def _normalize_ns(n_repeaters) -> list[int]:
@@ -208,11 +208,7 @@ def _validate_config(config: SweepConfig) -> tuple[list[int], list]:
         raise ConfigError(f"engine must be one of {ENGINES}, got {config.engine!r}")
     if config.swap_mode not in SWAP_MODES:
         raise ConfigError(f"swap_mode must be one of {SWAP_MODES}, got {config.swap_mode!r}")
-    if config.engine == "closedform":
-        if config.family == "general":
-            raise ConfigError("the closedform engine only supports the werner and bds families")
-        if config.swap_mode != "paper":
-            raise ConfigError("the closedform engine implements paper mode only; use engine=oracle for povm")
+    check_engine(config.family, config.engine, config.swap_mode)
     if config.mode == "random":
         if not isinstance(config.sample_count, int) or config.sample_count < 1:
             raise ConfigError("random mode requires sample_count >= 1")
@@ -245,21 +241,40 @@ def _validate_config(config: SweepConfig) -> tuple[list[int], list]:
     return plan
 
 
-def _evaluate(config: SweepConfig, n: int, etas, link_params, links) -> tuple[float, float]:
-    if config.engine == "closedform":
-        if config.family == "werner":
-            query = WernerChainQuery(tuple(p.p for p in link_params), NoiseModel(etas))
-            return werner_chain_concurrence(query), werner_chain_fidelity(query)
-        query = BdsChainQuery(tuple(link_params), NoiseModel(etas))
-        return bds_chain_concurrence(query), bds_chain_fidelity(query)
+def check_engine(family: str, engine: str, swap_mode: str) -> None:
+    """Reject the closedform engine outside the werner/bds families in paper mode."""
+    if engine != "closedform":
+        return
+    if family not in ("werner", "bds"):
+        raise ConfigError("the closedform engine only supports the werner and bds families")
+    if swap_mode != "paper":
+        raise ConfigError("the closedform engine implements paper mode only; use the oracle engine for povm")
+
+
+def evaluate_chain(family: str, engine: str, swap_mode: str, link_params, etas, links=None):
+    """End-to-end (c_out, f_out, final) of one chain of family links.
+
+    ``final`` is the oracle's end-to-end state, or None on the closedform
+    engine, which reads only the family parameters.  The oracle builds
+    dense Werner/BDS links from ``link_params`` unless ``links`` are given
+    (general links always are).
+    """
+    noise = NoiseModel(tuple(etas))
+    if engine == "closedform":
+        if family == "werner":
+            query = WernerChainQuery(tuple(p.p for p in link_params), noise)
+            return werner_chain_concurrence(query), werner_chain_fidelity(query), None
+        query = BdsChainQuery(tuple(link_params), noise)
+        return bds_chain_concurrence(query), bds_chain_fidelity(query), None
     if links is None:
-        maker = make_werner if config.family == "werner" else make_bell_diagonal
+        maker = make_werner if family == "werner" else make_bell_diagonal
         links = [maker(p) for p in link_params]
-    final = chain_swap(ChainSpec(tuple(links), NoiseModel(etas)), mode=config.swap_mode)
-    return concurrence(final), teleportation_fidelity(final)
+    final = chain_swap(ChainSpec(tuple(links), noise), mode=swap_mode)
+    return concurrence(final), teleportation_fidelity(final), final
 
 
-def _input_concurrences(family: str, link_params, links) -> tuple[float, ...]:
+def input_concurrences(family: str, link_params, links=None) -> tuple[float, ...]:
+    """Concurrence of each input link; general links are read from ``links``."""
     if family == "werner":
         return tuple(concurrence_werner(p.p) for p in link_params)
     if family == "bds":
@@ -268,9 +283,10 @@ def _input_concurrences(family: str, link_params, links) -> tuple[float, ...]:
 
 
 def _make_record(config, index, n, etas, link_params, links) -> SweepRecord:
-    c_in = tuple(float(c) for c in _input_concurrences(config.family, link_params, links))
-    c_out, f_out = _evaluate(config, n, etas, link_params, links)
+    c_in = tuple(float(c) for c in input_concurrences(config.family, link_params, links))
+    c_out, f_out, _ = evaluate_chain(config.family, config.engine, config.swap_mode, link_params, etas, links)
     c_out, f_out = float(c_out), float(f_out)
+    entangled, useful = flags(c_out, f_out)
     return SweepRecord(
         index=index,
         family=config.family,
@@ -280,8 +296,8 @@ def _make_record(config, index, n, etas, link_params, links) -> SweepRecord:
         c_in=c_in,
         c_out=c_out,
         f_out=f_out,
-        entangled=c_out > 0.0,
-        useful=f_out > CLASSICAL_FIDELITY,
+        entangled=entangled,
+        useful=useful,
     )
 
 
@@ -354,11 +370,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
         )
     summary = {
         "config_echo": config.to_dict(),
-        "totals": {
-            "samples": len(records),
-            "entangled": sum(1 for r in records if r.entangled),
-            "useful": sum(1 for r in records if r.useful),
-        },
+        "totals": {key: sum(cell[key] for cell in cells) for key in ("samples", "entangled", "useful")},
         "cells": cells,
     }
     return records, summary

@@ -262,6 +262,33 @@ def test_criterion_09_general_mixed_eta_sweep():
     )
 
 
+def test_criterion_09_companion_paper_mode_separable_at_or_below_two_thirds():
+    # Paper mode outputs f rho' + (1 - f) I/4 with f = eta/(4 - 3 eta), whose
+    # purity is at most (3 f^2 + 1)/4.  For eta <= 2/3, f <= 1/3 and the
+    # purity is at most 1/3, so the output is separable (Zyczkowski et al.,
+    # PRA 58, 883, 1998).  Near-Bell general links put that bound to work.
+    from entswap import bell_state
+
+    rng = np.random.default_rng(883)
+    phi_plus = bell_state("phi+").matrix
+    worst = 0.0
+    for eta in (0.0, 0.3, 0.6, 2.0 / 3.0):
+        for _ in range(200):
+            left, right = (TwoQubitState(0.9 * phi_plus + 0.1 * ginibre_matrix(rng)) for _ in range(2))
+            out = swap_once(left, right, eta).matrix
+            purity = float(np.trace(out @ out).real)
+            worst = max(worst, purity)
+            assert purity <= 1.0 / 3.0 + 1e-12
+            assert concurrence(out) <= 1e-12
+    # positive control: just above 2/3 the same swap keeps entanglement
+    control = concurrence(swap_once(bell_state("phi+"), bell_state("phi+"), 0.7))
+    assert control > 0.05
+    _passed(
+        f"criterion 9 companion: near-Bell purity <= {worst:.4f} and C = 0 for eta <= 2/3; "
+        f"C = {control:.4f} at eta = 0.7"
+    )
+
+
 def test_criterion_10_sweep_determinism(tmp_path):
     config = SweepConfig(
         family="bds", mode="random", sample_count=200, n_repeaters=[1, 2],

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from entswap import (
+    BdsChainQuery,
+    BdsParams,
+    ChainSpec,
     DomainError,
+    NoiseModel,
     TwoQubitState,
     apply_local,
+    bds_chain_concurrence,
     bell_state,
+    chain_swap,
     concurrence,
     concurrence_bds,
     concurrence_werner,
@@ -128,3 +134,49 @@ def test_report_flags_track_strict_thresholds():
     assert abs(r.fidelity - 2.0 / 3.0) < 1e-10
     assert r.entangled == (r.concurrence > 0.0)
     assert r.useful_for_teleportation == (r.fidelity > 2.0 / 3.0)
+
+
+def _local_unitary(rng):
+    """Haar-random U_A (x) U_B."""
+    def haar2():
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    return np.kron(haar2(), haar2())
+
+
+def test_concurrence_keeps_full_precision_on_rank_deficient_states():
+    # local unitaries leave C unchanged, and these ranks are where square
+    # roots of the eigenvalues of rho rho~ lose half their digits
+    rng = np.random.default_rng(2245)
+    phi_plus, psi_plus = bell_state("phi+").matrix, bell_state("psi+").matrix
+    for _ in range(100):
+        u = _local_unitary(rng)
+        a = rng.uniform(0.0, 1.0)
+        ket = np.array([np.sqrt(a), 0.0, 0.0, np.sqrt(1.0 - a)], dtype=complex)
+        pure = TwoQubitState(u @ np.outer(ket, ket.conj()) @ u.conj().T)
+        assert abs(concurrence(pure) - 2.0 * np.sqrt(a * (1.0 - a))) <= 1e-12
+        p = rng.uniform(0.0, 1.0)
+        rank2 = TwoQubitState(u @ (p * phi_plus + (1.0 - p) * psi_plus) @ u.conj().T)
+        assert abs(concurrence(rank2) - abs(2.0 * p - 1.0)) <= 1e-12
+
+
+def test_oracle_chain_concurrence_matches_closed_form_on_rank_two_bds_links():
+    t = BdsParams(-1.0, -0.5, -0.5)
+    noise = NoiseModel((1.0,))
+    final = chain_swap(ChainSpec((make_bell_diagonal(t), make_bell_diagonal(t)), noise))
+    assert abs(concurrence(final) - bds_chain_concurrence(BdsChainQuery((t, t), noise))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "c, f, expected",
+    [
+        (0.0, 0.5, (False, False)),
+        (1e-13, 2.0 / 3.0 + 1e-13, (False, False)),
+        (1e-11, 2.0 / 3.0 + 1e-11, (True, True)),
+    ],
+)
+def test_flags_need_a_margin_above_the_thresholds(c, f, expected):
+    from entswap.measures import flags
+
+    assert flags(c, f) == expected

@@ -7,6 +7,7 @@ import pytest
 from entswap import (
     CSV_HEADER,
     ConfigError,
+    EntswapError,
     SweepConfig,
     concurrence,
     concurrence_bds,
@@ -18,6 +19,7 @@ from entswap import (
     write_csv,
     write_summary_json,
 )
+from entswap import sweep as sweep_module
 from entswap.sweep import _inside_tetrahedron
 
 
@@ -274,3 +276,21 @@ def test_general_family_oracle_sweep_records():
         assert record.useful == (record.f_out > 2 / 3)
     # eta = 0.5 sits under the single-swap threshold
     assert summary["cells"][0]["entangled"] == 0
+
+
+@pytest.mark.parametrize("family, etas", [("werner", [0.8, 1.0]), ("bds", [0.9, 1.0])])
+def test_engines_agree_on_flags_at_exact_thresholds(family, etas):
+    # these grids hold records exactly at C = 0 or F = 2/3, where the two
+    # engines' values differ in the last bit
+    base = dict(family=family, mode="grid", grid_steps=6, n_repeaters=[1, 2], eta_spec=etas)
+    closed, _ = run_sweep(SweepConfig(engine="closedform", **base))
+    oracle, _ = run_sweep(SweepConfig(engine="oracle", **base))
+    assert len(closed) == len(oracle)
+    assert [(r.entangled, r.useful) for r in closed] == [(r.entangled, r.useful) for r in oracle]
+
+
+@pytest.mark.parametrize("family", ["werner", "bds", "general"])
+def test_sampler_exhaustion_is_an_entswap_error(monkeypatch, family):
+    monkeypatch.setattr(sweep_module, "_MAX_REJECTIONS", 0)
+    with pytest.raises(EntswapError):
+        sample_state(family, link_generator(0, 0), entangled_inputs_only=True)
