@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -31,6 +32,7 @@ from .sweep import (
     input_concurrences,
     round_floats,
     run_sweep,
+    sample_state,
     write_csv,
     write_summary_json,
 )
@@ -113,11 +115,7 @@ def _cmd_swap(args) -> int:
 
 def _cmd_chain(args) -> int:
     params = _parse_links(args)
-    if len(params) < 2:
-        raise ConfigError("chain needs at least two links")
     etas = _parse_floats(args.etas, "--etas")
-    if len(etas) != len(params) - 1:
-        raise ConfigError(f"{len(params)} links require {len(params) - 1} eta values, got {len(etas)}")
     engine = args.engine or ("closedform" if args.mode == "paper" else "oracle")
     check_engine(args.family, engine, args.mode)
     return _chain_report(args, params, etas, engine)
@@ -165,16 +163,10 @@ def _werner_draws(rng, count: int):
 
 
 def _bds_draws(rng, count: int):
-    """(triples, etas) of Bell-diagonal chains with 1..4 repeaters; cube rejection."""
+    """(triples, etas) of Bell-diagonal chains with 1..4 repeaters, drawn as the sweep draws them."""
     for _ in range(count):
         n = int(rng.integers(1, 5))
-        ts = []
-        while len(ts) < n + 1:
-            t = rng.uniform(-1.0, 1.0, size=3)
-            try:
-                ts.append(BdsParams(*t))
-            except EntswapError:
-                continue
+        ts = [sample_state("bds", rng)[0] for _ in range(n + 1)]
         yield ts, rng.uniform(0.0, 1.0, size=n)
 
 
@@ -191,6 +183,8 @@ def _closedform_deviation(family: str, draws) -> float:
 def _cmd_validate(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    if not 0.0 <= args.tol < math.inf:
+        raise ConfigError(f"--tol must be a finite number >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     werner_dev = _closedform_deviation("werner", _werner_draws(rng, args.samples))
     bds_dev = _closedform_deviation("bds", _bds_draws(rng, max(1, args.samples // 10)))
@@ -199,9 +193,7 @@ def _cmd_validate(args) -> int:
     for _ in range(args.samples):
         n = int(rng.integers(1, 9))
         etas = rng.uniform(0.0, 1.0, size=n)
-        direct = 1.0
-        for eta in etas:
-            direct *= 4.0 - 3.0 * eta
+        direct = math.prod(4.0 - 3.0 * eta for eta in etas)
         diff = abs(direct - subset_sum_normalization(etas)) / max(1.0, abs(direct))
         norm_dev = max(norm_dev, diff)
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .errors import DomainError
 from .measures import FLAG_MARGIN, concurrence_bds
-from .states import BdsParams
+from .states import BdsParams, check_visibility
 from .swap import NoiseModel
 
 #: Returned by max_entangled_swaps when no number of swaps kills entanglement.
@@ -35,14 +35,9 @@ class WernerChainQuery:
         object.__setattr__(self, "ps", tuple(float(p) for p in self.ps))
         if not isinstance(self.etas, NoiseModel):
             object.__setattr__(self, "etas", NoiseModel(tuple(self.etas)))
-        if len(self.ps) != len(self.etas) + 1:
-            raise DomainError(
-                f"{len(self.ps)} links require {len(self.ps) - 1} eta values, "
-                f"got {len(self.etas)}"
-            )
+        self.etas.check_links(len(self.ps))
         for p in self.ps:
-            if not 0.0 <= p <= 1.0:
-                raise DomainError(f"visibility must lie in [0, 1], got {p}")
+            check_visibility(p)
 
 
 @dataclass(frozen=True)
@@ -60,11 +55,7 @@ class BdsChainQuery:
         )
         if not isinstance(self.etas, NoiseModel):
             object.__setattr__(self, "etas", NoiseModel(tuple(self.etas)))
-        if len(self.ts) != len(self.etas) + 1:
-            raise DomainError(
-                f"{len(self.ts)} links require {len(self.ts) - 1} eta values, "
-                f"got {len(self.etas)}"
-            )
+        self.etas.check_links(len(self.ts))
 
 
 def _node_scale(etas: NoiseModel) -> float:

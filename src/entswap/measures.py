@@ -6,13 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .states import BdsParams, _as_matrix, pauli_decompose
+from .states import _PAIR, BdsParams, _as_matrix, check_visibility, pauli_decompose
 
-_YY = np.kron(
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-)
+_YY = _PAIR[2, 2]
 
 #: A state is useful as a teleportation channel only above this fidelity.
 CLASSICAL_FIDELITY = 2.0 / 3.0
@@ -52,8 +48,7 @@ def concurrence(state) -> float:
 
 def concurrence_werner(p: float) -> float:
     """Closed-form concurrence max(0, (3p - 1)/2) of a visibility-p state."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"visibility must lie in [0, 1], got {p}")
+    check_visibility(p)
     return max(0.0, (3.0 * p - 1.0) / 2.0)
 
 

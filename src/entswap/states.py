@@ -36,18 +36,12 @@ BELL_KETS = {
     "psi-": np.array([0, _S2, -_S2, 0], dtype=complex),
 }
 
-# Pauli operators lifted to two qubits, precomputed for the decomposition.
-_LEFT = [np.kron(PAULI[i], _I2) for i in range(4)]
-_RIGHT = [np.kron(_I2, PAULI[i]) for i in range(4)]
-_PAIR = [[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)]
+#: Two-qubit Pauli products, _PAIR[i, j] = sigma_i (x) sigma_j, shape (4, 4, 4, 4).
+_PAIR = np.array([[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)])
 
 # All 15 expectation operators stacked (r1..r3, s1..s3, T row-major) so one
 # contraction yields the full Bloch decomposition.
-_BLOCH_STACK = np.stack(
-    [_LEFT[i] for i in (1, 2, 3)]
-    + [_RIGHT[i] for i in (1, 2, 3)]
-    + [_PAIR[i][j] for i in (1, 2, 3) for j in (1, 2, 3)]
-)
+_BLOCH_STACK = np.concatenate([_PAIR[1:, 0], _PAIR[0, 1:], _PAIR[1:, 1:].reshape(9, 4, 4)])
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -144,8 +138,13 @@ class WernerParams:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"visibility must lie in [0, 1], got {self.p}")
+        check_visibility(self.p)
+
+
+def check_visibility(p: float) -> None:
+    """Raise DomainError unless the Werner visibility p lies in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"visibility must lie in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ def make_bell_diagonal(params: BdsParams | tuple) -> TwoQubitState:
         params = BdsParams(*(float(t) for t in params))
     m = np.eye(4, dtype=complex)
     for i, t in enumerate(params.as_tuple(), start=1):
-        m = m + t * _PAIR[i][i]
+        m = m + t * _PAIR[i, i]
     return TwoQubitState(m / 4.0)
 
 
@@ -234,9 +233,9 @@ def make_general(bloch: BlochForm) -> TwoQubitState:
     """
     m = np.eye(4, dtype=complex)
     for i in range(3):
-        m = m + bloch.r[i] * _LEFT[i + 1] + bloch.s[i] * _RIGHT[i + 1]
+        m = m + bloch.r[i] * _PAIR[i + 1, 0] + bloch.s[i] * _PAIR[0, i + 1]
         for j in range(3):
-            m = m + bloch.T[i, j] * _PAIR[i + 1][j + 1]
+            m = m + bloch.T[i, j] * _PAIR[i + 1, j + 1]
     m = m / 4.0
     smallest = np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
     if smallest < -PSD_TOL:
@@ -284,7 +283,7 @@ def apply_local(state: TwoQubitState, left_pauli: int, right_pauli: int) -> TwoQ
     """Conjugate a state by sigma_a (x) sigma_b (Pauli indices 0..3)."""
     if left_pauli not in (0, 1, 2, 3) or right_pauli not in (0, 1, 2, 3):
         raise DomainError("Pauli indices must be integers in 0..3")
-    u = _PAIR[left_pauli][right_pauli]
+    u = _PAIR[int(left_pauli), int(right_pauli)]
     # Paulis are Hermitian and self-inverse, so conjugation is u @ m @ u.
     return TwoQubitState(u @ _as_matrix(state) @ u)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainSwapError, DomainError, EntswapError
-from .states import BELL_KETS, PAULI, TwoQubitState, _as_matrix
+from .states import _PAIR, BELL_KETS, PAULI, TwoQubitState, _as_matrix
 
 #: Bell measurement outcomes in a fixed reporting order.
 OUTCOME_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -43,9 +43,7 @@ _PROJECTOR_STACK = np.stack(_PROJECTORS).reshape(4, 2, 2, 2, 2)
 # Pauli label via |B_sigma> = (I (x) sigma)|phi+>; undoing that label folds
 # every outcome of a Bell-diagonal input into one and the same state.
 _CORRECTION_INDEX = {"phi+": 0, "psi+": 1, "psi-": 2, "phi-": 3}
-_CORRECTIONS = np.stack(
-    [np.kron(_I2, PAULI[_CORRECTION_INDEX[label]]) for label in OUTCOME_LABELS]
-)
+_CORRECTIONS = _PAIR[0, [_CORRECTION_INDEX[label] for label in OUTCOME_LABELS]]
 
 
 def _check_eta(eta: float) -> float:
@@ -65,6 +63,11 @@ class NoiseModel:
 
     def __len__(self) -> int:
         return len(self.etas)
+
+    def check_links(self, count: int) -> None:
+        """Raise DomainError unless ``count`` links match these nodes (one more link than etas)."""
+        if count != len(self.etas) + 1:
+            raise DomainError(f"{count} links require {count - 1} eta values, got {len(self.etas)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +104,7 @@ class ChainSpec:
         object.__setattr__(self, "links", tuple(self.links))
         if len(self.links) < 2:
             raise DomainError("a chain needs at least two links")
-        if len(self.links) != len(self.noise) + 1:
-            raise DomainError(
-                f"{len(self.links)} links require {len(self.links) - 1} eta values, "
-                f"got {len(self.noise)}"
-            )
+        self.noise.check_links(len(self.links))
 
     @property
     def n_repeaters(self) -> int:
@@ -145,15 +144,15 @@ def _corrected_conditionals(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarr
 
 
 def _perfect_outcomes(left_m: np.ndarray, right_m: np.ndarray):
-    """Probabilities, unnormalized corrected states and kept-outcome mask."""
+    """Probabilities, unnormalized corrected states, kept-outcome mask, kept average."""
     corrected = _corrected_conditionals(left_m, right_m)
     probs = np.trace(corrected, axis1=1, axis2=2).real
-    return probs, corrected, probs >= NEGLIGIBLE_PROBABILITY
+    kept = probs >= NEGLIGIBLE_PROBABILITY
+    return probs, corrected, kept, corrected[kept].sum(axis=0) / probs[kept].sum()
 
 
 def _perfect_average(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
-    probs, corrected, kept = _perfect_outcomes(left_m, right_m)
-    return corrected[kept].sum(axis=0) / probs[kept].sum()
+    return _perfect_outcomes(left_m, right_m)[3]
 
 
 def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
@@ -164,13 +163,12 @@ def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
     outcomes are flagged and omitted).  For Bell-diagonal inputs all four
     corrected outcomes coincide, so averaging is lossless there.
     """
-    left_m, right_m = _as_matrix(left), _as_matrix(right)
-    probs, corrected, kept = _perfect_outcomes(left_m, right_m)
+    probs, corrected, kept, average = _perfect_outcomes(_as_matrix(left), _as_matrix(right))
     outcomes = tuple(
         SwapOutcome(label, p, TwoQubitState(c / p) if k else None, not k)
         for label, p, c, k in zip(OUTCOME_LABELS, probs, corrected, kept)
     )
-    averaged = TwoQubitState(_perfect_average(left_m, right_m))
+    averaged = TwoQubitState(average)
     return SwapResult(outcomes, averaged, averaged)
 
 
@@ -180,9 +178,8 @@ def _swap_once_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) -> np
 
 
 def swap_once(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubitState:
-    """Imperfect swap in paper mode (identity mixed with weight 4(1 - eta))."""
-    _check_eta(eta)
-    return TwoQubitState(_swap_once_matrix(_as_matrix(left), _as_matrix(right), eta))
+    """Imperfect paper-mode swap: the one-node chain (left, right) of :func:`chain_swap`."""
+    return chain_swap(ChainSpec((left, right), NoiseModel((eta,))))
 
 
 def _swap_once_povm_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) -> np.ndarray:
@@ -196,9 +193,8 @@ def _swap_once_povm_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) 
 
 
 def swap_once_povm(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubitState:
-    """Imperfect swap applying the noisy measurement operators directly."""
-    _check_eta(eta)
-    return TwoQubitState(_swap_once_povm_matrix(_as_matrix(left), _as_matrix(right), eta))
+    """Imperfect povm-mode swap: the one-node chain (left, right) of :func:`chain_swap`."""
+    return chain_swap(ChainSpec((left, right), NoiseModel((eta,))), mode="povm")
 
 
 def chain_swap(spec: ChainSpec, mode: str = "paper") -> TwoQubitState:

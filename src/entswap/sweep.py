@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from itertools import product
@@ -110,10 +111,7 @@ class SweepRecord:
 
     @property
     def c_in_prod(self) -> float:
-        out = 1.0
-        for c in self.c_in:
-            out *= c
-        return out
+        return math.prod(self.c_in)
 
 
 def link_generator(seed: int, index: int) -> np.random.Generator:
@@ -167,12 +165,17 @@ def sample_state(family: str, rng: np.random.Generator, entangled_inputs_only: b
     raise ConfigError(f"rejection sampling for {family!r} did not converge")
 
 
+def _is_count(value) -> bool:
+    """True for a plain integer; bools are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _normalize_ns(n_repeaters) -> list[int]:
-    if isinstance(n_repeaters, int) and not isinstance(n_repeaters, bool):
+    if _is_count(n_repeaters):
         ns = [n_repeaters]
     elif isinstance(n_repeaters, (list, tuple)) and len(n_repeaters) == 2:
         lo, hi = n_repeaters
-        if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
+        if not (_is_count(lo) and _is_count(hi) and lo <= hi):
             raise ConfigError(f"n_repeaters range must be [lo, hi] with lo <= hi, got {n_repeaters}")
         ns = list(range(lo, hi + 1))
     else:
@@ -210,19 +213,21 @@ def _validate_config(config: SweepConfig) -> tuple[list[int], list]:
         raise ConfigError(f"swap_mode must be one of {SWAP_MODES}, got {config.swap_mode!r}")
     check_engine(config.family, config.engine, config.swap_mode)
     if config.mode == "random":
-        if not isinstance(config.sample_count, int) or config.sample_count < 1:
+        if not _is_count(config.sample_count) or config.sample_count < 1:
             raise ConfigError("random mode requires sample_count >= 1")
         if config.grid_steps is not None:
             raise ConfigError("grid_steps is only valid in grid mode")
     else:
         if config.family == "general":
             raise ConfigError("grid mode is only defined for the werner and bds families")
-        if not isinstance(config.grid_steps, int) or config.grid_steps < 1:
+        if not _is_count(config.grid_steps) or config.grid_steps < 1:
             raise ConfigError("grid mode requires grid_steps >= 1")
         if config.sample_count is not None:
             raise ConfigError("sample_count is only valid in random mode")
-    if not isinstance(config.seed, int) or isinstance(config.seed, bool) or config.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {config.seed!r}")
+    if not _is_count(config.seed) or not 0 <= config.seed <= _SEED_MASK:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {config.seed!r}")
+    if not isinstance(config.entangled_inputs_only, bool):
+        raise ConfigError(f"entangled_inputs_only must be true or false, got {config.entangled_inputs_only!r}")
 
     ns = _normalize_ns(config.n_repeaters)
     eta_cells = _normalize_eta_cells(config.eta_spec)

@@ -106,6 +106,14 @@ def test_chain_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_chain_single_link_is_a_usage_error(capsys, engine):
+    assert run(["chain", "--family", "werner", "--p", "0.9", "--etas", "1", "--engine", engine]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_threshold_outputs(capsys):
     code, payload = run_json(capsys, ["threshold", "--max-swaps", "0.99"])
     assert code == 0
@@ -215,3 +223,19 @@ def test_validate_fails_at_zero_tolerance(capsys):
 def test_validate_rejects_zero_samples(capsys):
     assert run(["validate", "--samples", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.5"])
+def test_validate_rejects_bad_tolerance(capsys, tol):
+    assert run(["validate", "--samples", "5", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
+def test_sweep_rejects_string_filter_flag(tmp_path, capsys):
+    config = sweep_config(tmp_path, entangled_inputs_only="false")
+    assert run(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv"),
+                "--summary", str(tmp_path / "x.json")]) == 2
+    assert "entangled_inputs_only" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -307,6 +307,24 @@ def test_chain_spec_validation():
         chain_swap(ChainSpec((link, link), NoiseModel((1.0,))), mode="magic")
 
 
+def test_link_count_rule_is_shared():
+    # the chain and both closed-form queries raise the one NoiseModel message
+    from entswap import BdsChainQuery, WernerChainQuery
+
+    noise = NoiseModel((1.0,))
+    with pytest.raises(DomainError, match="^3 links require 2 eta values, got 1$"):
+        noise.check_links(3)
+    noise.check_links(2)
+    link = make_werner(0.9)
+    for build in (
+        lambda: ChainSpec((link,) * 3, noise),
+        lambda: WernerChainQuery((0.9,) * 3, noise),
+        lambda: BdsChainQuery(((1.0, -1.0, 1.0),) * 3, noise),
+    ):
+        with pytest.raises(DomainError, match="^3 links require 2 eta values, got 1$"):
+            build()
+
+
 def test_chain_swap_reports_failing_node(monkeypatch):
     import entswap.swap as swap_module
 

@@ -201,6 +201,32 @@ def test_config_validation_errors(kwargs):
         run_sweep(SweepConfig(**kwargs))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(family="werner", mode="random", sample_count=True),
+        dict(family="werner", mode="grid", grid_steps=True),
+        dict(family="werner", mode="random", sample_count=5, n_repeaters=[True, 2]),
+        dict(family="werner", mode="random", sample_count=5, n_repeaters=[1, True]),
+        dict(family="werner", mode="random", sample_count=5, entangled_inputs_only="false"),
+        dict(family="werner", mode="grid", grid_steps=3, entangled_inputs_only=1),
+        dict(family="werner", mode="random", sample_count=5, entangled_inputs_only=None),
+        dict(family="werner", mode="random", sample_count=5, seed=2**64),
+    ],
+)
+def test_config_type_errors(kwargs):
+    # bools are not counts, the input filter takes only a real bool, and a
+    # seed must fit the generator's 64-bit key instead of wrapping onto another
+    with pytest.raises(ConfigError):
+        run_sweep(SweepConfig(**kwargs))
+
+
+def test_largest_seed_is_accepted():
+    config = SweepConfig(family="bds", mode="random", sample_count=3, seed=2**64 - 1)
+    records, _ = run_sweep(config)
+    assert len(records) == 3
+
+
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({"family": "werner", "samples": 10})
