@@ -54,7 +54,10 @@ def _parse_triples(text: str) -> list[BdsParams]:
         group = group.strip()
         if not (group.startswith("(") and group.endswith(")")):
             raise ConfigError(f"--t expects groups like (t1,t2,t3), got {group!r}")
-        triples.append(BdsParams(*_parse_floats(group[1:-1], "--t")))
+        values = _parse_floats(group[1:-1], "--t")
+        if len(values) != 3:
+            raise ConfigError(f"--t expects exactly three numbers per group, got {group!r}")
+        triples.append(BdsParams(*values))
     if not triples:
         raise ConfigError("--t received no triples")
     return triples
@@ -183,6 +186,8 @@ def _closedform_deviation(family: str, draws) -> float:
 def _cmd_validate(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if not 0.0 <= args.tol < math.inf:
         raise ConfigError(f"--tol must be a finite number >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)

@@ -170,47 +170,18 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _normalize_ns(n_repeaters) -> list[int]:
-    if _is_count(n_repeaters):
-        ns = [n_repeaters]
-    elif isinstance(n_repeaters, (list, tuple)) and len(n_repeaters) == 2:
-        lo, hi = n_repeaters
-        if not (_is_count(lo) and _is_count(hi) and lo <= hi):
-            raise ConfigError(f"n_repeaters range must be [lo, hi] with lo <= hi, got {n_repeaters}")
-        ns = list(range(lo, hi + 1))
-    else:
-        raise ConfigError(f"n_repeaters must be a count or [lo, hi] range, got {n_repeaters!r}")
-    if ns[0] < 1:
-        raise ConfigError("n_repeaters must be >= 1")
-    return ns
+def _is_real(value) -> bool:
+    """True for a plain int or float; bools, strings and None are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _normalize_eta_cells(eta_spec) -> list:
-    """Return cells as (json label, per-node tuple or None-for-scalar) pairs."""
-    if isinstance(eta_spec, (int, float)) and not isinstance(eta_spec, bool):
-        return [(float(eta_spec), None)]
-    if isinstance(eta_spec, (list, tuple)) and eta_spec:
-        cells = []
-        for entry in eta_spec:
-            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                cells.append((float(entry), None))
-            elif isinstance(entry, (list, tuple)) and entry:
-                cells.append(([float(e) for e in entry], tuple(float(e) for e in entry)))
-            else:
-                raise ConfigError(f"bad eta_spec entry {entry!r}")
-        return cells
-    raise ConfigError(f"eta_spec must be a value, a list or per-node lists, got {eta_spec!r}")
-
-
-def _validate_config(config: SweepConfig) -> tuple[list[int], list]:
-    if config.family not in FAMILIES:
-        raise ConfigError(f"family must be one of {FAMILIES}, got {config.family!r}")
-    if config.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
-    if config.engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {config.engine!r}")
-    if config.swap_mode not in SWAP_MODES:
-        raise ConfigError(f"swap_mode must be one of {SWAP_MODES}, got {config.swap_mode!r}")
+def _plan(config: SweepConfig) -> list[tuple[int, float | list, tuple[float, ...]]]:
+    """Check every config value; return the cells as (n, json eta label, per-node etas)."""
+    choices = {"family": FAMILIES, "mode": MODES, "engine": ENGINES, "swap_mode": SWAP_MODES}
+    for field, allowed in choices.items():
+        value = getattr(config, field)
+        if value not in allowed:
+            raise ConfigError(f"{field} must be one of {allowed}, got {value!r}")
     check_engine(config.family, config.engine, config.swap_mode)
     if config.mode == "random":
         if not _is_count(config.sample_count) or config.sample_count < 1:
@@ -229,21 +200,29 @@ def _validate_config(config: SweepConfig) -> tuple[list[int], list]:
     if not isinstance(config.entangled_inputs_only, bool):
         raise ConfigError(f"entangled_inputs_only must be true or false, got {config.entangled_inputs_only!r}")
 
-    ns = _normalize_ns(config.n_repeaters)
-    eta_cells = _normalize_eta_cells(config.eta_spec)
-    plan = []
-    for n in ns:
-        for label, per_node in eta_cells:
-            etas = (label,) * n if per_node is None else per_node
-            if len(etas) != n:
-                raise ConfigError(
-                    f"per-node eta list {list(etas)} does not match n_repeaters={n}"
-                )
-            for eta in etas:
-                if not 0.0 <= eta <= 1.0:
-                    raise ConfigError(f"eta values must lie in [0, 1], got {eta}")
-            plan.append((n, label, etas))
-    return plan
+    bounds = [config.n_repeaters] * 2 if _is_count(config.n_repeaters) else config.n_repeaters
+    if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2 and all(map(_is_count, bounds))
+            and 1 <= bounds[0] <= bounds[1]):
+        raise ConfigError(
+            f"n_repeaters must be a count >= 1 or [lo, hi] with 1 <= lo <= hi, got {config.n_repeaters!r}"
+        )
+    # a scalar eta_spec is a one-entry list; each entry is one eta for every node, or a per-node list
+    spec = config.eta_spec
+    labels = []
+    for entry in spec if isinstance(spec, (list, tuple)) and spec else [spec]:
+        per_node = isinstance(entry, (list, tuple))
+        values = entry if per_node else [entry]
+        if not values or not all(_is_real(eta) and 0 <= eta <= 1 for eta in values):
+            raise ConfigError(
+                f"eta_spec entries must be numbers in [0, 1] or non-empty lists of them, got {entry!r}"
+            )
+        if per_node and not bounds[0] == bounds[1] == len(entry):
+            raise ConfigError(
+                f"per-node eta list {list(entry)} does not match n_repeaters={config.n_repeaters!r}"
+            )
+        labels.append([float(eta) for eta in entry] if per_node else float(entry))
+    ns = range(bounds[0], bounds[1] + 1)
+    return [(n, label, tuple(label) if isinstance(label, list) else (label,) * n) for n in ns for label in labels]
 
 
 def check_engine(family: str, engine: str, swap_mode: str) -> None:
@@ -353,7 +332,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     Records are grouped by cell in plan order and sorted by sample index
     inside each cell.  Identical configs produce identical records.
     """
-    plan = _validate_config(config)
+    plan = _plan(config)
     _check_thread_setting()
     link_source = _random_links if config.mode == "random" else _grid_links
     records: list[SweepRecord] = []

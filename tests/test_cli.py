@@ -239,3 +239,32 @@ def test_sweep_rejects_string_filter_flag(tmp_path, capsys):
                 "--summary", str(tmp_path / "x.json")]) == 2
     assert "entangled_inputs_only" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_rejects_null_per_node_eta(tmp_path, capsys):
+    config = sweep_config(tmp_path, eta_spec=[[None]])
+    assert run(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv"),
+                "--summary", str(tmp_path / "x.json")]) == 2
+    assert "eta_spec" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("t", ["(1,-1)", "(1,-1,1,0);(1,-1,1)", "(1,-1,1);(1,-1)"])
+def test_bds_triples_need_three_numbers(capsys, t):
+    assert run(["swap", "--family", "bds", "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--t" in captured.err
+
+
+def test_validate_rejects_negative_seed(capsys):
+    assert run(["validate", "--samples", "5", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+def test_validate_accepts_seed_beyond_64_bits(capsys):
+    code, payload = run_json(capsys, ["validate", "--samples", "5", "--seed", str(2**64)])
+    assert code == 0
+    assert payload["seed"] == 2**64

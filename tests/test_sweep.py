@@ -221,6 +221,23 @@ def test_config_type_errors(kwargs):
         run_sweep(SweepConfig(**kwargs))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n_repeaters=2, eta_spec=[[True, 0.5]]),
+        dict(eta_spec=[["0.9"]]),
+        dict(eta_spec=[[None]]),
+        dict(eta_spec=[[[0.5]]]),
+        dict(n_repeaters=2, eta_spec=[[0.5, float("nan")]]),
+    ],
+)
+def test_per_node_etas_must_be_numbers(kwargs):
+    # every eta, per-node entries included, is a plain number in [0, 1]:
+    # bools, numeric strings, nulls and nested lists are not read as one
+    with pytest.raises(ConfigError, match="eta_spec"):
+        run_sweep(SweepConfig(family="werner", mode="random", sample_count=5, **kwargs))
+
+
 def test_largest_seed_is_accepted():
     config = SweepConfig(family="bds", mode="random", sample_count=3, seed=2**64 - 1)
     records, _ = run_sweep(config)
