@@ -12,6 +12,14 @@ measurement with success probability eta:
   rho_1 (x) I/2, rho_1 being the left link's outer-qubit marginal, and
   keeps entanglement of perfect links down to eta > 1/3.  For Werner and
   Bell-diagonal links rho_1 = I/2, so the noise term is I_4/4.
+
+The oracle is one bilinear table per mode, built once at import from the
+Bell projectors and the outcome corrections (:func:`_swap_tables`): a
+swap step reads vec R @ (vec L @ table) and never forms the joined 16x16
+state.  The povm table holds the noise term as rho_1 (x) I/2 Tr R, which
+is rho_1 (x) I/2 because Tr R = 1 (to the 1e-12 trace tolerance): R is
+always a link of a :class:`ChainSpec`, and every link is a validated
+TwoQubitState (bare arrays are validated when the spec is built).
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ _PROJECTORS = tuple(
     np.outer(BELL_KETS[label], BELL_KETS[label].conj()) for label in OUTCOME_LABELS
 )
 # Projectors stacked and index-split (outcome, j, k, j', k') for the
-# middle-pair contraction in _perfect_conditionals.
+# middle-pair contraction in _swap_tables.
 _PROJECTOR_STACK = np.stack(_PROJECTORS).reshape(4, 2, 2, 2, 2)
 
 # Outcome correction on the right-hand qubit.  Each Bell state carries a
@@ -44,6 +52,50 @@ _PROJECTOR_STACK = np.stack(_PROJECTORS).reshape(4, 2, 2, 2, 2)
 # every outcome of a Bell-diagonal input into one and the same state.
 _CORRECTION_INDEX = {"phi+": 0, "psi+": 1, "psi-": 2, "phi-": 3}
 _CORRECTIONS = _PAIR[0, [_CORRECTION_INDEX[label] for label in OUTCOME_LABELS]]
+
+
+def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The swap of links L and R as bilinear maps of vec L and vec R.
+
+    Measuring the middle pair of L (x) R with P_o leaves qubits (1, 4) in
+    Tr_23[(I (x) P_o (x) I)(L (x) R)], that is
+    out_o[(i l), (x y)] = sum P_o[(j k), (a b)] L[(i a), (x j)] R[(b l), (k y)].
+    For the matrix units L = E_(ia),(xj) and R = E_(bl),(ky) the sum is the
+    one projector entry P_o[(j k), (a b)] at ((i l), (x y)), so the table of
+    every unit pair is a scatter of projector entries.  Each outcome's
+    correction C X C is then applied to vec out as the matrix kron(C^T, C).
+
+    Rows are vec L.  The paper table's columns are (vec R, outcome, vec out)
+    and hold each corrected conditional.  The povm table's columns are
+    (vec R, part, vec out): part 0 is the sum of the corrected conditionals,
+    part 1 the noise term rho_1 (x) I/2 Tr R.  The identity part of each
+    noisy operator conditions nothing and leaves rho_1 (x) rho_4 / 4; its
+    four corrected copies sum to 2 rho_1 (x) I Tr R, because
+    sum_sigma sigma B sigma = 2 Tr(B) I.
+    """
+    i, a, x, j, b, l, k, y = np.indices((2,) * 8).reshape(8, -1)
+    units = np.zeros((16, 16, 4, 16), dtype=complex)
+    units[8 * i + 4 * a + 2 * x + j, 8 * b + 4 * l + 2 * k + y, :, 8 * i + 4 * l + 2 * x + y] = (
+        _PROJECTOR_STACK[:, j, k, a, b].T
+    )
+    correct = np.einsum("oba,ocd->oacbd", _CORRECTIONS, _CORRECTIONS).reshape(4, 16, 16)
+    corrected = (units.reshape(256, 4, 16).transpose(1, 0, 2) @ correct).transpose(1, 0, 2)
+    unit = np.eye(16, dtype=complex)
+    left_noise = np.einsum("uijkj,lm->uilkm", unit.reshape(16, 2, 2, 2, 2), _I2 / 2.0)
+    right_trace = np.trace(unit.reshape(16, 4, 4), axis1=1, axis2=2)
+    povm = np.empty((16, 16, 2, 16), dtype=complex)
+    povm[:, :, 0] = corrected.sum(axis=1).reshape(16, 16, 16)
+    povm[:, :, 1] = left_noise.reshape(16, 1, 16) * right_trace.reshape(1, 16, 1)
+    return corrected.reshape(16, 16 * 4 * 16), povm.reshape(16, 16 * 2 * 16)
+
+
+# Built once at import; every swap step reads one of them.
+_PAPER_TABLE, _POVM_TABLE = _swap_tables()
+
+
+def _bilinear(table: np.ndarray, left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
+    """vec R @ (vec L @ table): the table's map applied to one pair of links."""
+    return right_m.reshape(16) @ (left_m.reshape(16) @ table).reshape(16, -1)
 
 
 def _check_eta(eta: float) -> float:
@@ -95,13 +147,19 @@ class SwapResult:
 
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
-    """An ordered run of n+1 links with one measuring node between each pair."""
+    """An ordered run of n+1 links with one measuring node between each pair.
+
+    A link that is not a TwoQubitState is validated as one.
+    """
 
     links: tuple[TwoQubitState, ...]
     noise: NoiseModel
 
     def __post_init__(self):
-        object.__setattr__(self, "links", tuple(self.links))
+        links = tuple(
+            link if isinstance(link, TwoQubitState) else TwoQubitState(link) for link in self.links
+        )
+        object.__setattr__(self, "links", links)
         if len(self.links) < 2:
             raise DomainError("a chain needs at least two links")
         self.noise.check_links(len(self.links))
@@ -121,26 +179,12 @@ def noisy_bell_measurement_ops(eta: float) -> list[np.ndarray]:
     return [eta * p + (1.0 - eta) / 4.0 * _EYE4 for p in _PROJECTORS]
 
 
-def _perfect_conditionals(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
-    """Unnormalized post-measurement states of qubits (1, 4), all outcomes.
-
-    Contracting the middle-pair projector directly against the two link
-    matrices is Tr_23[(I (x) P_o (x) I)(L (x) R)] without forming the
-    16x16 product:
-    out[o][(i l), (i' l')] = sum P_o[(j k), (a b)] L[(i a), (i' j)] R[(b l), (k l')].
-    """
-    left4 = left_m.reshape(2, 2, 2, 2)
-    right4 = right_m.reshape(2, 2, 2, 2)
-    out = np.einsum("ojkab,iaxj,blky->oilxy", _PROJECTOR_STACK, left4, right4)
-    return out.reshape(4, 4, 4)
-
-
 def _corrected_conditionals(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
     """Unnormalized conditional states of all four outcomes, each corrected.
 
     The corrections are unitary, so the traces are the outcome probabilities.
     """
-    return _CORRECTIONS @ _perfect_conditionals(left_m, right_m) @ _CORRECTIONS
+    return _bilinear(_PAPER_TABLE, left_m, right_m).reshape(4, 4, 4)
 
 
 def _perfect_outcomes(left_m: np.ndarray, right_m: np.ndarray):
@@ -183,12 +227,8 @@ def swap_once(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubit
 
 
 def _swap_once_povm_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) -> np.ndarray:
-    # The identity part of each noisy operator conditions nothing and leaves
-    # rho_1 (x) rho_4 / 4.  Its four corrected copies sum to 2 rho_1 (x) I,
-    # because sum_sigma sigma B sigma = 2 Tr(B) I and Tr(rho_4) = 1.
-    left_marginal = np.einsum("ijkj->ik", left_m.reshape(2, 2, 2, 2))
-    acc = eta * _corrected_conditionals(left_m, right_m).sum(axis=0)
-    acc += (1.0 - eta) / 2.0 * np.kron(left_marginal, _I2)
+    summed, noise = _bilinear(_POVM_TABLE, left_m, right_m).reshape(2, 4, 4)
+    acc = eta * summed + (1.0 - eta) * noise
     return acc / acc.trace().real
 
 
@@ -202,10 +242,10 @@ def chain_swap(spec: ChainSpec, mode: str = "paper") -> TwoQubitState:
     if mode not in ("paper", "povm"):
         raise DomainError(f"mode must be 'paper' or 'povm', got {mode!r}")
     step = _swap_once_matrix if mode == "paper" else _swap_once_povm_matrix
-    state = _as_matrix(spec.links[0])
+    state = spec.links[0].matrix
     for node, (link, eta) in enumerate(zip(spec.links[1:], spec.noise.etas), start=1):
         try:
-            state = step(state, _as_matrix(link), eta)
+            state = step(state, link.matrix, eta)
         except EntswapError as exc:
             raise ChainSwapError(f"swap at node {node} failed: {exc}", node=node) from exc
     return TwoQubitState(state)

@@ -12,9 +12,9 @@ from itertools import combinations
 import numpy as np
 
 
-def ginibre_matrix(rng):
-    """Random density matrix rho = G G+ / Tr(G G+)."""
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def ginibre_matrix(rng, rank=4):
+    """Random density matrix rho = G G+ / Tr(G G+) with G of shape 4 x rank."""
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     m = g @ g.conj().T
     return m / m.trace().real
 

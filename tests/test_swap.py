@@ -5,6 +5,7 @@ from entswap import (
     ChainSpec,
     ChainSwapError,
     DomainError,
+    InvalidStateError,
     NoiseModel,
     OUTCOME_LABELS,
     TwoQubitState,
@@ -217,6 +218,47 @@ def test_perfect_average_and_povm_noise_match_definition_for_general_states():
     negligible = {o.label: o.negligible for o in result.per_outcome}
     assert negligible == {"phi+": False, "phi-": False, "psi+": True, "psi-": True}
     assert all(o.state is None for o in result.per_outcome if o.negligible)
+
+
+def test_perfect_swap_outcomes_match_definition_for_general_states():
+    # brute-force route per outcome: p_o = Tr X_o and corr_o X_o corr_o / p_o,
+    # X_o = Tr_23[(I x P_o x I)(L x R)], on links of every rank
+    from entswap.states import PAULI, _ptrace_mid
+
+    rng = np.random.default_rng(46)
+    i2 = np.eye(2, dtype=complex)
+    corr_by_label = {"phi+": PAULI[0], "psi+": PAULI[1], "psi-": PAULI[2], "phi-": PAULI[3]}
+    zero_zero = TwoQubitState(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    pairs = [
+        (TwoQubitState(ginibre_matrix(rng, r1)), TwoQubitState(ginibre_matrix(rng, r2)))
+        for r1 in (1, 2, 3, 4)
+        for r2 in (1, 2, 3, 4)
+    ]
+    pairs.append((zero_zero, zero_zero))
+    for left, right in pairs:
+        joint = np.kron(left.matrix, right.matrix)
+        result = swap_once_perfect(left, right)
+        assert [o.label for o in result.per_outcome] == list(OUTCOME_LABELS)
+        for outcome in result.per_outcome:
+            mid = np.kron(np.kron(i2, bell_state(outcome.label).matrix), i2)
+            corr = np.kron(i2, corr_by_label[outcome.label])
+            conditional = corr @ _ptrace_mid(mid @ joint) @ corr
+            probability = conditional.trace().real
+            assert abs(outcome.probability - probability) < 1e-12
+            assert outcome.negligible == (probability < 1e-14)
+            if not outcome.negligible:
+                assert np.abs(outcome.state.matrix - conditional / probability).max() < 1e-12
+    assert sum(o.negligible for o in result.per_outcome) == 2
+
+
+@pytest.mark.parametrize("mode", ["paper", "povm"])
+def test_chain_rejects_unvalidated_bare_link(mode):
+    # a trace-2 array must not pass as a link, however the chain is read
+    bad = 2.0 * make_werner(0.9).matrix
+    with pytest.raises(InvalidStateError, match="trace 2"):
+        chain_swap(ChainSpec((bad, make_werner(0.9)), NoiseModel((0.9,))), mode=mode)
+    with pytest.raises(InvalidStateError, match="trace 2"):
+        chain_swap(ChainSpec((make_werner(0.9), bad), NoiseModel((0.9,))), mode=mode)
 
 
 @pytest.mark.parametrize("mode", ["paper", "povm"])
