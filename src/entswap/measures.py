@@ -29,7 +29,7 @@ class MeasureReport:
     useful_for_teleportation: bool
 
 
-def concurrence(state) -> float:
+def concurrence(state) -> float | np.ndarray:
     """Spin-flip concurrence of a two-qubit state.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of
@@ -39,11 +39,18 @@ def concurrence(state) -> float:
     scaled by the square roots of their eigenvalues.  This keeps full
     precision on rank-deficient states, where square roots of the product's
     eigenvalues turn rounding noise of 1e-17 into errors of 1e-8.
+
+    One matrix gives a float; a (..., 4, 4) stack gives an array of each
+    member's value, computed by the same operations.
     """
     w, v = np.linalg.eigh(_as_matrix(state))
-    scaled = v * np.sqrt(np.maximum(w, 0.0))
-    lam = np.linalg.svd(scaled.T @ _YY @ scaled, compute_uv=False)
-    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    scaled = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    lam = np.linalg.svd(scaled.swapaxes(-1, -2) @ _YY @ scaled, compute_uv=False)
+    # lam.T[k] is lam[..., k] with the leading axes reversed, and .T puts
+    # them back; for one matrix the entries are plain scalars.
+    lam = lam.T
+    c = (lam[0] - lam[1] - lam[2] - lam[3]).T
+    return np.maximum(0.0, c) if c.ndim else max(0.0, float(c))
 
 
 def concurrence_werner(p: float) -> float:
@@ -62,16 +69,18 @@ def concurrence_bds(params: BdsParams | tuple) -> float:
     return max(0.0, 2.0 * max(params.eigenvalues()) - 1.0)
 
 
-def teleportation_fidelity(state) -> float:
+def teleportation_fidelity(state) -> float | np.ndarray:
     """Best average fidelity of standard teleportation through the state.
 
     F = (1 + N/3)/2 where N is the sum of the singular values of the
     correlation matrix T.  Singular values (not eigenvalues) keep the
     formula correct for correlation matrices with negative entries.
+    One matrix gives a float; a (..., 4, 4) stack gives an array.
     """
     T = pauli_decompose(state).T
-    n = np.linalg.svd(T, compute_uv=False).sum()
-    return (1.0 + n / 3.0) / 2.0
+    n = np.linalg.svd(T, compute_uv=False).sum(axis=-1)
+    f = (1.0 + n / 3.0) / 2.0
+    return f if f.ndim else float(f)
 
 
 def octahedron_separable(params: BdsParams | tuple) -> bool:

@@ -44,38 +44,53 @@ _PAIR = np.array([[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range
 _BLOCH_STACK = np.concatenate([_PAIR[1:, 0], _PAIR[0, 1:], _PAIR[1:, 1:].reshape(9, 4, 4)])
 
 
+def _any(mask) -> bool:
+    """True if any entry of a boolean array, or a numpy boolean scalar, is set.
+
+    A numpy reduction costs as much on a scalar as on a small array, and
+    the checks of a single state would pay it on every call, so a scalar
+    is read directly.
+    """
+    return bool(mask.any() if mask.ndim else mask)
+
+
 def _as_matrix(state) -> np.ndarray:
     """Unwrap a state object to its matrix; pass bare arrays through."""
     return np.asarray(getattr(state, "matrix", state), dtype=complex)
 
 
-def _checked_density_matrix(matrix, dim: int, label: str) -> np.ndarray:
+def _checked_density_matrix(matrix, shape: tuple[int, ...], label: str) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; clamp fp noise.
 
-    Eigenvalues in [-PSD_TOL, 0) are set to zero and the matrix is
-    reassembled and renormalized; anything more negative is an error.
+    ``shape`` is (dim, dim) for one matrix or (..., dim, dim) for a stack,
+    whose every member passes the same checks.  Eigenvalues in
+    [-PSD_TOL, 0) are set to zero and the member is reassembled and
+    renormalized; anything more negative is an error.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.shape != (dim, dim):
-        raise InvalidStateError(f"{label} must be {dim}x{dim}, got shape {m.shape}")
+    if m.shape != shape:
+        raise InvalidStateError(f"{label} must be {'x'.join(map(str, shape))}, got shape {m.shape}")
+    adjoint = m.conj().swapaxes(-1, -2)
     # A NaN or infinite entry makes the defect NaN or inf, which fails the
     # test below, so non-finite input never reaches eigvalsh.
-    defect = np.abs(m - m.conj().T).max()
+    defect = np.abs(m - adjoint).max()
     if not defect <= HERMITICITY_TOL:
         raise InvalidStateError(f"{label} is not a finite Hermitian matrix (defect {defect:.3e})")
-    trace = m.trace()
-    if not abs(trace - 1.0) <= TRACE_TOL:
-        raise InvalidStateError(f"{label} has trace {trace.real:.12g}, expected 1")
-    m = (m + m.conj().T) / 2.0
-    smallest = np.linalg.eigvalsh(m)[0]
-    if smallest < -PSD_TOL:
-        raise InvalidStateError(
-            f"{label} is not positive semidefinite (min eigenvalue {smallest:.6e})"
-        )
-    if smallest < 0.0:
-        evals, vecs = np.linalg.eigh(m)
-        m = (vecs * np.maximum(evals, 0.0)) @ vecs.conj().T
-        m = m / m.trace().real
+    trace = m.trace(axis1=-2, axis2=-1)
+    off = abs(trace - 1.0) > TRACE_TOL
+    if _any(off):
+        raise InvalidStateError(f"{label} has trace {np.extract(off, trace)[0].real:.12g}, expected 1")
+    m = (m + adjoint) / 2.0
+    smallest = np.linalg.eigvalsh(m)[..., 0]
+    negative = smallest < 0.0
+    if _any(negative):
+        worst = smallest.min()
+        if worst < -PSD_TOL:
+            raise InvalidStateError(f"{label} is not positive semidefinite (min eigenvalue {worst:.6e})")
+        for index in map(tuple, np.argwhere(negative)):
+            evals, vecs = np.linalg.eigh(m[index])
+            clamped = (vecs * np.maximum(evals, 0.0)) @ vecs.conj().T
+            m[index] = clamped / clamped.trace().real
     m.flags.writeable = False
     return m
 
@@ -88,7 +103,7 @@ class TwoQubitState:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "matrix", _checked_density_matrix(self.matrix, 4, "two-qubit state")
+            self, "matrix", _checked_density_matrix(self.matrix, (4, 4), "two-qubit state")
         )
 
 
@@ -100,7 +115,7 @@ class FourQubitState:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "matrix", _checked_density_matrix(self.matrix, 16, "four-qubit state")
+            self, "matrix", _checked_density_matrix(self.matrix, (16, 16), "four-qubit state")
         )
 
 
@@ -110,7 +125,9 @@ class BlochForm:
 
     Entries are Pauli expectation values, so each lies in [-1, 1]; out of
     range values (beyond fp slack) are rejected.  Physicality of the full
-    reconstruction is checked by :func:`make_general`, not here.
+    reconstruction is checked by :func:`make_general`, not here.  Leading
+    axes of r, shared by s and T, make a stack of forms, each member
+    checked alike.
     """
 
     r: np.ndarray
@@ -118,11 +135,11 @@ class BlochForm:
     T: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float).reshape(3).copy()
-        s = np.asarray(self.s, dtype=float).reshape(3).copy()
-        T = np.asarray(self.T, dtype=float).reshape(3, 3).copy()
+        r = np.array(self.r, dtype=float)
+        s = np.asarray(self.s, dtype=float).reshape(r.shape).copy()
+        T = np.asarray(self.T, dtype=float).reshape(r.shape + (3,)).copy()
         slack = 1.0 + 1e-9
-        if np.linalg.norm(r) > slack or np.linalg.norm(s) > slack:
+        if _any((r * r).sum(axis=-1) > slack**2) or _any((s * s).sum(axis=-1) > slack**2):
             raise InvalidParametersError("Bloch vectors must have norm <= 1")
         if np.abs(T).max() > slack:
             raise InvalidParametersError("correlation matrix entries must lie in [-1, 1]")
@@ -248,12 +265,12 @@ def make_general(bloch: BlochForm) -> TwoQubitState:
 def pauli_decompose(state) -> BlochForm:
     """Pauli expectations of a state: r_i, s_i and t_ij = Tr(rho si (x) sj).
 
-    Inverse of :func:`make_general`.  Accepts a TwoQubitState or a bare
-    4x4 matrix.
+    Inverse of :func:`make_general`.  Accepts a TwoQubitState, a bare 4x4
+    matrix or a (..., 4, 4) stack, which gives a stack of forms.
     """
     m = _as_matrix(state)
-    expectations = np.einsum("kij,ji->k", _BLOCH_STACK, m).real
-    return BlochForm(expectations[:3], expectations[3:6], expectations[6:].reshape(3, 3))
+    expectations = np.einsum("kij,...ji->...k", _BLOCH_STACK, m).real
+    return BlochForm(expectations[..., :3], expectations[..., 3:6], expectations[..., 6:])
 
 
 def tensor(left: TwoQubitState, right: TwoQubitState) -> FourQubitState:

@@ -20,6 +20,10 @@ state.  The povm table holds the noise term as rho_1 (x) I/2 Tr R, which
 is rho_1 (x) I/2 because Tr R = 1 (to the 1e-12 trace tolerance): R is
 always a link of a :class:`ChainSpec`, and every link is a validated
 TwoQubitState (bare arrays are validated when the spec is built).
+
+The kernels take (..., 4, 4) stacks of links, one pair per sample on the
+leading axes; one chain is the case without leading axes.  A sweep
+evaluates its chains as such stacks (:func:`_chain_matrices`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainSwapError, DomainError, EntswapError
-from .states import _PAIR, BELL_KETS, PAULI, TwoQubitState, _as_matrix
+from .states import _PAIR, BELL_KETS, PAULI, TwoQubitState
 
 #: Bell measurement outcomes in a fixed reporting order.
 OUTCOME_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -94,8 +98,24 @@ _PAPER_TABLE, _POVM_TABLE = _swap_tables()
 
 
 def _bilinear(table: np.ndarray, left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
-    """vec R @ (vec L @ table): the table's map applied to one pair of links."""
-    return right_m.reshape(16) @ (left_m.reshape(16) @ table).reshape(16, -1)
+    """vec R @ (vec L @ table) for each pair of links, as (..., part, 4, 4).
+
+    The links are (..., 4, 4) stacks; the left ones meet the table in one
+    matrix product, so a stack costs one pass over the table.
+    """
+    lead = left_m.shape[:-2]
+    half = (left_m.reshape(lead + (16,)) @ table).reshape(lead + (16, -1))
+    return (right_m.reshape(lead + (1, 16)) @ half).reshape(lead + (-1, 4, 4))
+
+
+def _divide_members(m: np.ndarray, divisors) -> np.ndarray:
+    """Each (..., 4, 4) member of m divided by its entry of the (...) divisors.
+
+    Transposing moves the member axes to the front, so the divisors
+    broadcast over the reversed leading axes; one matrix divides by a
+    plain scalar, which costs less than broadcasting a (1, 1) array.
+    """
+    return (m.T / divisors.T).T
 
 
 def _check_eta(eta: float) -> float:
@@ -145,6 +165,11 @@ class SwapResult:
     paper_convention: TwoQubitState
 
 
+def _as_state(state) -> TwoQubitState:
+    """A TwoQubitState as is; anything else validated as one."""
+    return state if isinstance(state, TwoQubitState) else TwoQubitState(state)
+
+
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
     """An ordered run of n+1 links with one measuring node between each pair.
@@ -156,10 +181,7 @@ class ChainSpec:
     noise: NoiseModel
 
     def __post_init__(self):
-        links = tuple(
-            link if isinstance(link, TwoQubitState) else TwoQubitState(link) for link in self.links
-        )
-        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "links", tuple(map(_as_state, self.links)))
         if len(self.links) < 2:
             raise DomainError("a chain needs at least two links")
         self.noise.check_links(len(self.links))
@@ -180,19 +202,25 @@ def noisy_bell_measurement_ops(eta: float) -> list[np.ndarray]:
 
 
 def _corrected_conditionals(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
-    """Unnormalized conditional states of all four outcomes, each corrected.
+    """Unnormalized conditional states of all four outcomes, each corrected, as (..., 4, 4, 4).
 
     The corrections are unitary, so the traces are the outcome probabilities.
     """
-    return _bilinear(_PAPER_TABLE, left_m, right_m).reshape(4, 4, 4)
+    return _bilinear(_PAPER_TABLE, left_m, right_m)
 
 
 def _perfect_outcomes(left_m: np.ndarray, right_m: np.ndarray):
-    """Probabilities, unnormalized corrected states, kept-outcome mask, kept average."""
+    """Probabilities, unnormalized corrected states, kept-outcome mask, kept average.
+
+    The mask is per pair of links: a dropped outcome adds an exact zero, so
+    each pair's average is the sum over its own kept outcomes.
+    """
     corrected = _corrected_conditionals(left_m, right_m)
-    probs = np.trace(corrected, axis1=1, axis2=2).real
+    probs = corrected.trace(axis1=-2, axis2=-1).real
     kept = probs >= NEGLIGIBLE_PROBABILITY
-    return probs, corrected, kept, corrected[kept].sum(axis=0) / probs[kept].sum()
+    total = np.where(kept, probs, 0.0).sum(axis=-1)
+    average = _divide_members(np.where(kept[..., None, None], corrected, 0.0).sum(axis=-3), total)
+    return probs, corrected, kept, average
 
 
 def _perfect_average(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
@@ -205,9 +233,10 @@ def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
     Every outcome state carries its correction; ``averaged`` is the
     probability-weighted mixture of the corrected outcomes (negligible
     outcomes are flagged and omitted).  For Bell-diagonal inputs all four
-    corrected outcomes coincide, so averaging is lossless there.
+    corrected outcomes coincide, so averaging is lossless there.  A link
+    that is not a TwoQubitState is validated as one.
     """
-    probs, corrected, kept, average = _perfect_outcomes(_as_matrix(left), _as_matrix(right))
+    probs, corrected, kept, average = _perfect_outcomes(_as_state(left).matrix, _as_state(right).matrix)
     outcomes = tuple(
         SwapOutcome(label, p, TwoQubitState(c / p) if k else None, not k)
         for label, p, c, k in zip(OUTCOME_LABELS, probs, corrected, kept)
@@ -227,9 +256,9 @@ def swap_once(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubit
 
 
 def _swap_once_povm_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) -> np.ndarray:
-    summed, noise = _bilinear(_POVM_TABLE, left_m, right_m).reshape(2, 4, 4)
-    acc = eta * summed + (1.0 - eta) * noise
-    return acc / acc.trace().real
+    parts = _bilinear(_POVM_TABLE, left_m, right_m)
+    acc = eta * parts[..., 0, :, :] + (1.0 - eta) * parts[..., 1, :, :]
+    return _divide_members(acc, acc.trace(axis1=-2, axis2=-1).real)
 
 
 def swap_once_povm(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubitState:
@@ -239,13 +268,22 @@ def swap_once_povm(left: TwoQubitState, right: TwoQubitState, eta: float) -> Two
 
 def chain_swap(spec: ChainSpec, mode: str = "paper") -> TwoQubitState:
     """Sequential left-to-right swaps along a chain; returns the end-to-end state."""
+    return TwoQubitState(_chain_matrices([link.matrix for link in spec.links], spec.noise, mode))
+
+
+def _chain_matrices(links, noise: NoiseModel, mode: str) -> np.ndarray:
+    """End-to-end matrices of chains swapped left to right, not yet validated.
+
+    ``links[k]`` holds the k-th link of every chain as a (..., 4, 4) stack
+    of density matrices; one chain is the case without leading axes.
+    """
     if mode not in ("paper", "povm"):
         raise DomainError(f"mode must be 'paper' or 'povm', got {mode!r}")
     step = _swap_once_matrix if mode == "paper" else _swap_once_povm_matrix
-    state = spec.links[0].matrix
-    for node, (link, eta) in enumerate(zip(spec.links[1:], spec.noise.etas), start=1):
+    state = links[0]
+    for node, (link, eta) in enumerate(zip(links[1:], noise.etas, strict=True), start=1):
         try:
-            state = step(state, link.matrix, eta)
+            state = step(state, link, eta)
         except EntswapError as exc:
             raise ChainSwapError(f"swap at node {node} failed: {exc}", node=node) from exc
-    return TwoQubitState(state)
+    return state

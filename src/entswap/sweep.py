@@ -8,8 +8,12 @@ the Cartesian product of per-link visibility grids for the Werner family,
 and one shared correlation triple per grid point (identical links) for the
 Bell-diagonal family.
 
-Cells are evaluated serially, one sample at a time: the links of each
-sample are drawn or built as its record is made.  ENTSWAP_THREADS is still
+Cells are evaluated serially.  The links of each sample are drawn or
+built one sample at a time.  An oracle cell then evaluates its samples in
+stacks of a fixed size (CHUNK_SIZE): the input concurrences, every swap
+step, the validation of the end-to-end states and their measures each run
+once per stack, with the samples on a leading axis.  A closedform cell
+evaluates one sample at a time.  ENTSWAP_THREADS is still
 read and must be an integer if set, but it selects nothing; a thread pool
 over these small numpy calls measured slower than the serial loop.
 """
@@ -21,7 +25,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -35,8 +39,16 @@ from .closedform import (
 )
 from .errors import ConfigError
 from .measures import concurrence, concurrence_bds, concurrence_werner, flags, teleportation_fidelity
-from .states import BdsParams, TwoQubitState, WernerParams, make_bell_diagonal, make_werner, pauli_decompose
-from .swap import ChainSpec, NoiseModel, chain_swap
+from .states import (
+    BdsParams,
+    TwoQubitState,
+    WernerParams,
+    _checked_density_matrix,
+    make_bell_diagonal,
+    make_werner,
+    pauli_decompose,
+)
+from .swap import ChainSpec, NoiseModel, _chain_matrices, chain_swap
 
 FAMILIES = ("werner", "bds", "general")
 MODES = ("grid", "random")
@@ -52,6 +64,10 @@ ETA_GRID_DEFAULT = tuple(round(0.1 * k, 1) for k in range(11))
 
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 _MAX_REJECTIONS = 1_000_000
+
+#: Samples an oracle cell evaluates as one stack; it bounds the stacks'
+#: memory (about 16 MiB for the paper-mode step) whatever sample_count is.
+CHUNK_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -235,13 +251,12 @@ def check_engine(family: str, engine: str, swap_mode: str) -> None:
         raise ConfigError("the closedform engine implements paper mode only; use the oracle engine for povm")
 
 
-def evaluate_chain(family: str, engine: str, swap_mode: str, link_params, etas, links=None):
-    """End-to-end (c_out, f_out, final) of one chain of family links.
+def evaluate_chain(family: str, engine: str, swap_mode: str, link_params, etas):
+    """End-to-end (c_out, f_out, final) of one chain of Werner or BDS links.
 
     ``final`` is the oracle's end-to-end state, or None on the closedform
     engine, which reads only the family parameters.  The oracle builds
-    dense Werner/BDS links from ``link_params`` unless ``links`` are given
-    (general links always are).
+    dense links from ``link_params``.
     """
     noise = NoiseModel(tuple(etas))
     if engine == "closedform":
@@ -250,25 +265,24 @@ def evaluate_chain(family: str, engine: str, swap_mode: str, link_params, etas, 
             return werner_chain_concurrence(query), werner_chain_fidelity(query), None
         query = BdsChainQuery(tuple(link_params), noise)
         return bds_chain_concurrence(query), bds_chain_fidelity(query), None
-    if links is None:
-        maker = make_werner if family == "werner" else make_bell_diagonal
-        links = [maker(p) for p in link_params]
-    final = chain_swap(ChainSpec(tuple(links), noise), mode=swap_mode)
+    final = chain_swap(ChainSpec(tuple(_dense_links(family, link_params)), noise), mode=swap_mode)
     return concurrence(final), teleportation_fidelity(final), final
 
 
-def input_concurrences(family: str, link_params, links=None) -> tuple[float, ...]:
-    """Concurrence of each input link; general links are read from ``links``."""
+def _dense_links(family: str, link_params) -> list[TwoQubitState]:
+    """Dense Werner or BDS links built from their parameters."""
+    maker = make_werner if family == "werner" else make_bell_diagonal
+    return [maker(p) for p in link_params]
+
+
+def input_concurrences(family: str, link_params) -> tuple[float, ...]:
+    """Closed-form concurrence of each Werner or BDS input link."""
     if family == "werner":
         return tuple(concurrence_werner(p.p) for p in link_params)
-    if family == "bds":
-        return tuple(concurrence_bds(p) for p in link_params)
-    return tuple(concurrence(state) for state in links)
+    return tuple(concurrence_bds(p) for p in link_params)
 
 
-def _make_record(config, index, n, etas, link_params, links) -> SweepRecord:
-    c_in = tuple(float(c) for c in input_concurrences(config.family, link_params, links))
-    c_out, f_out, _ = evaluate_chain(config.family, config.engine, config.swap_mode, link_params, etas, links)
+def _make_record(config, n, etas, index, link_params, c_in, c_out, f_out) -> SweepRecord:
     c_out, f_out = float(c_out), float(f_out)
     entangled, useful = flags(c_out, f_out)
     return SweepRecord(
@@ -277,12 +291,42 @@ def _make_record(config, index, n, etas, link_params, links) -> SweepRecord:
         n=n,
         link_params=tuple(link_params),
         etas=tuple(etas),
-        c_in=c_in,
+        c_in=tuple(float(c) for c in c_in),
         c_out=c_out,
         f_out=f_out,
         entangled=entangled,
         useful=useful,
     )
+
+
+def _closedform_record(config, n, etas, index, link_params) -> SweepRecord:
+    c_in = input_concurrences(config.family, link_params)
+    c_out, f_out, _ = evaluate_chain(config.family, "closedform", config.swap_mode, link_params, etas)
+    return _make_record(config, n, etas, index, link_params, c_in, c_out, f_out)
+
+
+def _oracle_records(config, n, etas, samples):
+    """Yield the record of each (index, (link_params, links)) sample of an oracle cell.
+
+    Each CHUNK_SIZE samples are one stack: links[k, j] is the k-th link of
+    the chunk's j-th sample.  Werner and BDS links are built from their
+    parameters unless drawn.
+    """
+    noise = NoiseModel(tuple(etas))
+    while chunk := list(islice(samples, CHUNK_SIZE)):
+        indices, sampled = zip(*chunk)
+        params = [link_params for link_params, _ in sampled]
+        states = [links if links is not None else _dense_links(config.family, p) for p, links in sampled]
+        links = np.array([[state.matrix for state in column] for column in zip(*states)])
+        if config.family == "general":
+            c_in = concurrence(links).T
+        else:
+            c_in = [input_concurrences(config.family, p) for p in params]
+        final = _checked_density_matrix(
+            _chain_matrices(links, noise, config.swap_mode), (len(chunk), 4, 4), "two-qubit state"
+        )
+        for row in zip(indices, params, c_in, concurrence(final), teleportation_fidelity(final)):
+            yield _make_record(config, n, etas, *row)
 
 
 def _random_links(config: SweepConfig, n: int):
@@ -338,10 +382,11 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     records: list[SweepRecord] = []
     cells = []
     for n, eta_label, etas in plan:
-        cell_records = [
-            _make_record(config, index, n, etas, link_params, links)
-            for index, (link_params, links) in enumerate(link_source(config, n))
-        ]
+        samples = enumerate(link_source(config, n))
+        if config.engine == "oracle":
+            cell_records = list(_oracle_records(config, n, etas, samples))
+        else:
+            cell_records = [_closedform_record(config, n, etas, index, p) for index, (p, _) in samples]
         records.extend(cell_records)
         cells.append(
             {

@@ -13,6 +13,10 @@ the same state.  Paper-mode chains are not, for general links: left to
 right, the left Bloch vector is scaled at every node, but a sub-chain
 joined from the right scales it only at the joining node.  The package
 evaluates chains left to right.
+
+A sweep evaluates its chains as stacks with the samples on a leading
+axis.  Every stacked result must equal, bit for bit, the single call on
+each member.
 """
 
 import numpy as np
@@ -28,7 +32,8 @@ from entswap import (
     swap_once_povm,
     teleportation_fidelity,
 )
-from entswap.states import PAULI
+from entswap.states import PAULI, _checked_density_matrix
+from entswap.swap import _chain_matrices
 
 _PAIRS = np.array([[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)])
 
@@ -55,6 +60,38 @@ def chains(draw):
     etas = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return tuple(TwoQubitState(ginibre(rng, rank)) for rank in ranks), etas
+
+
+_ZERO_ZERO = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+
+
+@st.composite
+def stacked_chains(draw):
+    """(links, etas, rng): links[j][k] is link k of chain j, for 1..5 chains of n + 1 links.
+
+    Links are Ginibre states of rank 1..4.  When there are two chains or
+    more, one may consist of |00><00| links, whose first swap has two
+    negligible outcomes, beside general chains that have none.
+    """
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 5))
+    ranks = draw(st.lists(st.integers(1, 4), min_size=(n + 1) * count, max_size=(n + 1) * count))
+    etas = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    links = [[TwoQubitState(ginibre(rng, rank)) for rank in ranks[j * (n + 1):(j + 1) * (n + 1)]] for j in range(count)]
+    if count > 1:
+        zero_chain = draw(st.none() | st.integers(0, count - 1))
+        if zero_chain is not None:
+            links[zero_chain] = [TwoQubitState(_ZERO_ZERO)] * (n + 1)
+    return links, etas, rng
+
+
+def below_zero(rng):
+    """A rank-3 state pushed 1e-12 below zero along its null vector."""
+    m = ginibre(rng, 3)
+    null = np.linalg.eigh(m)[1][:, 0]
+    m = m - 1e-12 * np.outer(null, null.conj())
+    return m / m.trace().real
 
 
 def pauli_frame_chain(links, etas, mode):
@@ -104,3 +141,28 @@ def test_povm_chains_are_associative(chain, data):
     )
     direct = _povm_chain(links, etas)
     assert np.abs(joined.matrix - direct.matrix).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(stacked_chains(), st.sampled_from(["paper", "povm"]))
+def test_stacked_evaluation_equals_single_calls_bit_for_bit(chain, mode):
+    chains, etas, rng = chain
+    noise = NoiseModel(tuple(etas))
+    # links[k, j] is link k of chain j, as a sweep stacks them
+    links = np.array([[state.matrix for state in column] for column in zip(*chains)])
+    count = len(chains)
+    finals = _checked_density_matrix(_chain_matrices(links, noise, mode), (count, 4, 4), "two-qubit state")
+    singles = [chain_swap(ChainSpec(tuple(states), noise), mode=mode).matrix for states in chains]
+    assert np.array_equal(finals, singles)
+    for stack in (links, finals):
+        members = stack.reshape(-1, 4, 4)
+        assert np.array_equal(concurrence(stack).reshape(-1), [concurrence(m) for m in members])
+        assert np.array_equal(teleportation_fidelity(stack).reshape(-1), [teleportation_fidelity(m) for m in members])
+
+    # validation of a stack whose one member takes the PSD clamp
+    stack = links.copy()
+    stack[-1, -1] = below_zero(rng)
+    assert np.linalg.eigvalsh(stack[-1, -1])[0] < 0.0
+    checked = _checked_density_matrix(stack, stack.shape, "two-qubit state")
+    assert np.array_equal(checked.reshape(-1, 4, 4), [TwoQubitState(m).matrix for m in stack.reshape(-1, 4, 4)])
+    assert np.linalg.eigvalsh(checked[-1, -1])[0] >= -1e-15

@@ -284,6 +284,38 @@ def test_constructor_rejects_non_finite_entries(bad):
             TwoQubitState(m)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("defect", ["non-Hermitian", "trace 2", "nan", "negative"])
+def test_stack_with_one_bad_member_is_rejected(defect):
+    from entswap.states import _checked_density_matrix
+
+    rng = np.random.default_rng(12)
+    stack = np.array([ginibre_matrix(rng) for _ in range(5)])
+    bad = stack[3]
+    if defect == "non-Hermitian":
+        bad[0, 1] += 1e-3
+    elif defect == "trace 2":
+        bad *= 2.0
+    elif defect == "nan":
+        bad[2, 2] = np.nan
+    else:
+        bad[:] = np.diag([0.5, 0.5 + 1e-9, -1e-9, 0.0])
+    with pytest.raises(InvalidStateError):
+        _checked_density_matrix(stack, stack.shape, "stack")
+    # one bad member also fails the range checks of a stacked Bloch form
+    if defect == "trace 2":
+        bell = bell_state("psi-").matrix
+        with pytest.raises(InvalidParametersError):
+            pauli_decompose(np.array([bell, 2.0 * bell, bell]))
+
+
+def test_single_state_holds_one_matrix():
+    from entswap import TwoQubitState
+
+    with pytest.raises(InvalidStateError, match="4x4"):
+        TwoQubitState(np.array([np.eye(4) / 4] * 2))
+
+
 @pytest.mark.parametrize("triple", [(np.nan, 0, 0), (0, 0, np.nan), (np.inf, -np.inf, 0), (np.inf, 0, 0)])
 def test_bds_params_reject_non_finite(triple):
     with pytest.raises(InvalidParametersError):

@@ -261,6 +261,19 @@ def test_chain_rejects_unvalidated_bare_link(mode):
         chain_swap(ChainSpec((make_werner(0.9), bad), NoiseModel((0.9,))), mode=mode)
 
 
+def test_swap_once_perfect_rejects_unvalidated_bare_array():
+    # a trace-2 array used to yield four outcomes of probability 0.5 each
+    bad = 2.0 * make_werner(0.9).matrix
+    with pytest.raises(InvalidStateError, match="trace 2"):
+        swap_once_perfect(bad, make_werner(0.9))
+    with pytest.raises(InvalidStateError, match="trace 2"):
+        swap_once_perfect(make_werner(0.9), bad)
+    # a valid bare array is accepted, as the same state
+    expected = swap_once_perfect(make_werner(0.9), make_werner(0.8)).averaged.matrix
+    result = swap_once_perfect(make_werner(0.9).matrix, make_werner(0.8).matrix).averaged.matrix
+    assert np.array_equal(result, expected)
+
+
 @pytest.mark.parametrize("mode", ["paper", "povm"])
 def test_werner_family_closure_both_conventions(mode):
     rng = np.random.default_rng(44)

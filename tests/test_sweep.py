@@ -6,15 +6,19 @@ import pytest
 
 from entswap import (
     CSV_HEADER,
+    ChainSpec,
     ConfigError,
     EntswapError,
+    NoiseModel,
     SweepConfig,
+    chain_swap,
     concurrence,
     concurrence_bds,
     concurrence_werner,
     link_generator,
     run_sweep,
     sample_state,
+    teleportation_fidelity,
     validate,
     write_csv,
     write_summary_json,
@@ -337,3 +341,24 @@ def test_sampler_exhaustion_is_an_entswap_error(monkeypatch, family):
     monkeypatch.setattr(sweep_module, "_MAX_REJECTIONS", 0)
     with pytest.raises(EntswapError):
         sample_state(family, link_generator(0, 0), entangled_inputs_only=True)
+
+
+@pytest.mark.parametrize("swap_mode", ["paper", "povm"])
+def test_oracle_sweep_across_a_chunk_boundary_matches_single_chains(swap_mode):
+    # one full stack and a stack of three; each record must equal, bit for
+    # bit, the single-chain calls on that sample's links
+    count = sweep_module.CHUNK_SIZE + 3
+    etas = (0.9, 0.8)
+    config = SweepConfig(
+        family="general", sample_count=count, n_repeaters=2, eta_spec=[list(etas)],
+        seed=11, engine="oracle", swap_mode=swap_mode,
+    )
+    records, summary = run_sweep(config)
+    assert [r.index for r in records] == list(range(count))
+    assert summary["totals"]["samples"] == count
+    for record in records:
+        rng = link_generator(config.seed, record.index)
+        links = tuple(sample_state("general", rng)[1] for _ in range(3))
+        final = chain_swap(ChainSpec(links, NoiseModel(etas)), mode=swap_mode)
+        assert record.c_in == tuple(concurrence(link) for link in links)
+        assert (record.c_out, record.f_out) == (concurrence(final), teleportation_fidelity(final))
