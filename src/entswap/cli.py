@@ -169,7 +169,7 @@ def _bds_draws(rng, count: int):
     """(triples, etas) of Bell-diagonal chains with 1..4 repeaters, drawn as the sweep draws them."""
     for _ in range(count):
         n = int(rng.integers(1, 5))
-        ts = [sample_state("bds", rng)[0] for _ in range(n + 1)]
+        ts = [sample_state("bds", rng, dense=False)[0] for _ in range(n + 1)]
         yield ts, rng.uniform(0.0, 1.0, size=n)
 
 

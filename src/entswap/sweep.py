@@ -9,11 +9,14 @@ and one shared correlation triple per grid point (identical links) for the
 Bell-diagonal family.
 
 Cells are evaluated serially.  The links of each sample are drawn or
-built one sample at a time.  An oracle cell then evaluates its samples in
-stacks of a fixed size (CHUNK_SIZE): the input concurrences, every swap
-step, the validation of the end-to-end states and their measures each run
-once per stack, with the samples on a leading axis.  A closedform cell
-evaluates one sample at a time.  ENTSWAP_THREADS is still
+enumerated one sample at a time.  Werner and Bell-diagonal links are kept
+as their family parameters, which is all the closedform engine reads; an
+oracle cell builds their dense links in one place (_dense_links).  General
+links are drawn as dense states.  An oracle cell then evaluates its
+samples in stacks of a fixed size (CHUNK_SIZE): the input concurrences,
+every swap step, the validation of the end-to-end states and their
+measures each run once per stack, with the samples on a leading axis.  A
+closedform cell evaluates one sample at a time.  ENTSWAP_THREADS is still
 read and must be an integer if set, but it selects nothing; a thread pool
 over these small numpy calls measured slower than the serial loop.
 """
@@ -145,29 +148,37 @@ def _inside_tetrahedron(t1: float, t2: float, t3: float) -> bool:
     )
 
 
-def sample_state(family: str, rng: np.random.Generator, entangled_inputs_only: bool = False):
+def sample_state(
+    family: str, rng: np.random.Generator, entangled_inputs_only: bool = False, *, dense: bool = True
+):
     """Draw one link: (family parameters, state).
 
     werner: visibility uniform on [0, 1] (rejected down to (1/3, 1] when
     entangled inputs are required).  bds: uniform on the cube [-1, 1]^3
     with tetrahedron rejection.  general: rho = G G+ / Tr(G G+) with G a
     4x4 matrix of standard complex Gaussians.
+
+    With ``dense=False`` a werner or bds link comes back as (params, None):
+    its dense state is not built.  A general link is drawn as its dense
+    state, so it is returned either way.  The stream is consumed the same
+    way in both cases.
     """
     if family == "werner":
         for _ in range(_MAX_REJECTIONS):
             p = rng.uniform(0.0, 1.0)
             if not entangled_inputs_only or p > 1.0 / 3.0:
                 params = WernerParams(p)
-                return params, make_werner(params)
+                return params, make_werner(params) if dense else None
     elif family == "bds":
         for _ in range(_MAX_REJECTIONS):
-            t1, t2, t3 = rng.uniform(-1.0, 1.0, size=3)
+            # Python floats give the same IEEE results as numpy scalars, with cheaper arithmetic
+            t1, t2, t3 = rng.uniform(-1.0, 1.0, size=3).tolist()
             if not _inside_tetrahedron(t1, t2, t3):
                 continue
             params = BdsParams(t1, t2, t3)
             if entangled_inputs_only and concurrence_bds(params) <= 0.0:
                 continue
-            return params, make_bell_diagonal(params)
+            return params, make_bell_diagonal(params) if dense else None
     elif family == "general":
         for _ in range(_MAX_REJECTIONS):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -309,8 +320,8 @@ def _oracle_records(config, n, etas, samples):
     """Yield the record of each (index, (link_params, links)) sample of an oracle cell.
 
     Each CHUNK_SIZE samples are one stack: links[k, j] is the k-th link of
-    the chunk's j-th sample.  Werner and BDS links are built from their
-    parameters unless drawn.
+    the chunk's j-th sample.  Werner and BDS samples arrive as parameters
+    only (links None); their dense links are built here.
     """
     noise = NoiseModel(tuple(etas))
     while chunk := list(islice(samples, CHUNK_SIZE)):
@@ -330,14 +341,17 @@ def _oracle_records(config, n, etas, samples):
 
 
 def _random_links(config: SweepConfig, n: int):
-    """Yield (link_params, links) for each sample, drawn from its own stream."""
+    """Yield (link_params, links) for each sample, drawn from its own stream.
+
+    links is None for Werner and BDS samples, which are drawn as parameters only.
+    """
     for index in range(config.sample_count):
         rng = link_generator(config.seed, index)
-        drawn = [
-            sample_state(config.family, rng, config.entangled_inputs_only)
+        params, states = zip(*(
+            sample_state(config.family, rng, config.entangled_inputs_only, dense=False)
             for _ in range(n + 1)
-        ]
-        yield tuple(params for params, _ in drawn), [state for _, state in drawn]
+        ))
+        yield params, None if states[0] is None else states
 
 
 def _grid_links(config: SweepConfig, n: int):

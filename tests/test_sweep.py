@@ -24,7 +24,8 @@ from entswap import (
     write_summary_json,
 )
 from entswap import sweep as sweep_module
-from entswap.sweep import _inside_tetrahedron
+from entswap.measures import flags
+from entswap.sweep import _inside_tetrahedron, evaluate_chain
 
 
 def test_sample_state_werner_entangled_only():
@@ -343,22 +344,80 @@ def test_sampler_exhaustion_is_an_entswap_error(monkeypatch, family):
         sample_state(family, link_generator(0, 0), entangled_inputs_only=True)
 
 
+@pytest.mark.parametrize("family", ["werner", "bds"])
+@pytest.mark.parametrize("entangled_inputs_only", [False, True])
+def test_closedform_sweeps_build_no_dense_state(monkeypatch, family, entangled_inputs_only):
+    # the closedform engine reads only the family parameters; each record
+    # must equal the default draw's parameters pushed through evaluate_chain
+    config = SweepConfig(
+        family=family, sample_count=40, n_repeaters=[1, 2], eta_spec=[0.8, 1.0],
+        seed=13, entangled_inputs_only=entangled_inputs_only,
+    )
+    c_link = {"werner": lambda params: concurrence_werner(params.p), "bds": concurrence_bds}[family]
+    expected = []
+    for n in (1, 2):
+        for eta in (0.8, 1.0):
+            for index in range(config.sample_count):
+                rng = link_generator(config.seed, index)
+                params = tuple(sample_state(family, rng, entangled_inputs_only)[0] for _ in range(n + 1))
+                c_out, f_out, _ = evaluate_chain(family, "closedform", "paper", params, (eta,) * n)
+                c_in = tuple(map(c_link, params))
+                expected.append((index, n, params, (eta,) * n, c_in, c_out, f_out, *flags(c_out, f_out)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closedform sweep built a dense state")
+
+    for name in ("make_werner", "make_bell_diagonal", "TwoQubitState"):
+        monkeypatch.setattr(sweep_module, name, forbidden)
+    records, _ = run_sweep(config)
+    assert [
+        (r.index, r.n, r.link_params, r.etas, r.c_in, r.c_out, r.f_out, r.entangled, r.useful)
+        for r in records
+    ] == expected
+
+
+@pytest.mark.parametrize("family", ["werner", "bds", "general"])
+@pytest.mark.parametrize("entangled_inputs_only", [False, True])
+def test_parameter_only_draws_leave_the_stream_untouched(family, entangled_inputs_only):
+    dense_rng, sparse_rng = link_generator(21, 4), link_generator(21, 4)
+
+    def key(params):
+        return (params.r.tolist(), params.s.tolist(), params.T.tolist()) if family == "general" else params
+
+    for _ in range(20):
+        params, state = sample_state(family, dense_rng, entangled_inputs_only)
+        sparse_params, sparse_state = sample_state(family, sparse_rng, entangled_inputs_only, dense=False)
+        assert key(sparse_params) == key(params)
+        if family == "general":
+            assert np.array_equal(sparse_state.matrix, state.matrix)
+        else:
+            assert sparse_state is None
+    assert sparse_rng.uniform() == dense_rng.uniform()
+
+
+@pytest.mark.parametrize("family", ["general", "werner", "bds"])
 @pytest.mark.parametrize("swap_mode", ["paper", "povm"])
-def test_oracle_sweep_across_a_chunk_boundary_matches_single_chains(swap_mode):
+def test_oracle_sweep_across_a_chunk_boundary_matches_single_chains(swap_mode, family):
     # one full stack and a stack of three; each record must equal, bit for
-    # bit, the single-chain calls on that sample's links
+    # bit, the single-chain calls on that sample's dense links, and each
+    # werner/bds c_in the closed form of its link
     count = sweep_module.CHUNK_SIZE + 3
     etas = (0.9, 0.8)
     config = SweepConfig(
-        family="general", sample_count=count, n_repeaters=2, eta_spec=[list(etas)],
+        family=family, sample_count=count, n_repeaters=2, eta_spec=[list(etas)],
         seed=11, engine="oracle", swap_mode=swap_mode,
     )
+    c_link = {
+        "general": lambda params, link: concurrence(link),
+        "werner": lambda params, link: concurrence_werner(params.p),
+        "bds": lambda params, link: concurrence_bds(params),
+    }[family]
     records, summary = run_sweep(config)
     assert [r.index for r in records] == list(range(count))
     assert summary["totals"]["samples"] == count
     for record in records:
         rng = link_generator(config.seed, record.index)
-        links = tuple(sample_state("general", rng)[1] for _ in range(3))
+        params, links = zip(*(sample_state(family, rng) for _ in range(3)))
         final = chain_swap(ChainSpec(links, NoiseModel(etas)), mode=swap_mode)
-        assert record.c_in == tuple(concurrence(link) for link in links)
+        assert record.c_in == tuple(map(c_link, params, links))
         assert (record.c_out, record.f_out) == (concurrence(final), teleportation_fidelity(final))
