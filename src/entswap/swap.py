@@ -182,13 +182,18 @@ class ChainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(map(_as_state, self.links)))
-        if len(self.links) < 2:
-            raise DomainError("a chain needs at least two links")
-        self.noise.check_links(len(self.links))
+        _check_chain(self.noise, len(self.links))
 
     @property
     def n_repeaters(self) -> int:
         return len(self.noise)
+
+
+def _check_chain(noise: NoiseModel, count: int) -> None:
+    """Raise DomainError unless ``count`` links, at least two, match the nodes of ``noise``."""
+    if count < 2:
+        raise DomainError("a chain needs at least two links")
+    noise.check_links(count)
 
 
 def noisy_bell_measurement_ops(eta: float) -> list[np.ndarray]:
@@ -201,21 +206,16 @@ def noisy_bell_measurement_ops(eta: float) -> list[np.ndarray]:
     return [eta * p + (1.0 - eta) / 4.0 * _EYE4 for p in _PROJECTORS]
 
 
-def _corrected_conditionals(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
-    """Unnormalized conditional states of all four outcomes, each corrected, as (..., 4, 4, 4).
-
-    The corrections are unitary, so the traces are the outcome probabilities.
-    """
-    return _bilinear(_PAPER_TABLE, left_m, right_m)
-
-
 def _perfect_outcomes(left_m: np.ndarray, right_m: np.ndarray):
     """Probabilities, unnormalized corrected states, kept-outcome mask, kept average.
 
-    The mask is per pair of links: a dropped outcome adds an exact zero, so
-    each pair's average is the sum over its own kept outcomes.
+    The corrected states are the unnormalized conditional states of all
+    four outcomes, each corrected, as (..., 4, 4, 4).  The corrections are
+    unitary, so their traces are the outcome probabilities.  The mask is
+    per pair of links: a dropped outcome adds an exact zero, so each
+    pair's average is the sum over its own kept outcomes.
     """
-    corrected = _corrected_conditionals(left_m, right_m)
+    corrected = _bilinear(_PAPER_TABLE, left_m, right_m)
     probs = corrected.trace(axis1=-2, axis2=-1).real
     kept = probs >= NEGLIGIBLE_PROBABILITY
     total = np.where(kept, probs, 0.0).sum(axis=-1)

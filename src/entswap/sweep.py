@@ -8,17 +8,18 @@ the Cartesian product of per-link visibility grids for the Werner family,
 and one shared correlation triple per grid point (identical links) for the
 Bell-diagonal family.
 
-Cells are evaluated serially.  The links of each sample are drawn or
-enumerated one sample at a time.  Werner and Bell-diagonal links are kept
-as their family parameters, which is all the closedform engine reads; an
-oracle cell builds their dense links in one place (_dense_links).  General
-links are drawn as dense states.  An oracle cell then evaluates its
-samples in stacks of a fixed size (CHUNK_SIZE): the input concurrences,
-every swap step, the validation of the end-to-end states and their
-measures each run once per stack, with the samples on a leading axis.  A
-closedform cell evaluates one sample at a time.  ENTSWAP_THREADS is still
-read and must be an integer if set, but it selects nothing; a thread pool
-over these small numpy calls measured slower than the serial loop.
+Cells are evaluated serially, each in stacks of a fixed number of samples
+(CHUNK_SIZE) through one engine dispatch, _evaluate_chains; a single chain
+(evaluate_chain) is the stack of one.  Links are drawn or enumerated one
+sample at a time.  Werner and Bell-diagonal links are kept as their family
+parameters, which is all the closedform engine reads; the oracle builds
+their dense links when it stacks them.  General links are drawn as dense
+states.  The closedform engine evaluates a stack chain by chain; the
+oracle runs every swap step, the validation of the end-to-end states and
+their measures once per stack, with the samples on a leading axis.  Each
+cell builds its noise model once.  ENTSWAP_THREADS is still read and must
+be an integer if set, but it selects nothing; a thread pool over these
+small numpy calls measured slower than the serial loop.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from .states import (
     make_werner,
     pauli_decompose,
 )
-from .swap import ChainSpec, NoiseModel, _chain_matrices, chain_swap
+# chain_swap is not called here; it stays importable as entswap.sweep.chain_swap, which the benchmark traces
+from .swap import NoiseModel, _chain_matrices, _check_chain, chain_swap
 
 FAMILIES = ("werner", "bds", "general")
 MODES = ("grid", "random")
@@ -68,7 +70,7 @@ ETA_GRID_DEFAULT = tuple(round(0.1 * k, 1) for k in range(11))
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 _MAX_REJECTIONS = 1_000_000
 
-#: Samples an oracle cell evaluates as one stack; it bounds the stacks'
+#: Samples a cell evaluates as one stack; it bounds the stacks'
 #: memory (about 16 MiB for the paper-mode step) whatever sample_count is.
 CHUNK_SIZE = 1024
 
@@ -265,25 +267,40 @@ def check_engine(family: str, engine: str, swap_mode: str) -> None:
 def evaluate_chain(family: str, engine: str, swap_mode: str, link_params, etas):
     """End-to-end (c_out, f_out, final) of one chain of Werner or BDS links.
 
-    ``final`` is the oracle's end-to-end state, or None on the closedform
-    engine, which reads only the family parameters.  The oracle builds
-    dense links from ``link_params``.
+    The stack of one of :func:`_evaluate_chains`.  ``final`` is the
+    oracle's validated 4x4 end-to-end matrix, or None on the closedform
+    engine, which reads only the family parameters.
     """
-    noise = NoiseModel(tuple(etas))
+    c_out, f_out, final = _evaluate_chains(family, engine, swap_mode, NoiseModel(tuple(etas)), [link_params], None)
+    return float(c_out[0]), float(f_out[0]), None if final is None else final[0]
+
+
+def _evaluate_chains(family: str, engine: str, swap_mode: str, noise: NoiseModel, params, links):
+    """(c_out, f_out, final) of a stack of chains of one length, one entry per chain.
+
+    ``params[j]`` holds the j-th chain's link parameters.  ``links`` is the
+    (n+1, N, 4, 4) stack of drawn general links, read only for the general
+    family; the oracle builds Werner and BDS links from their parameters.
+    ``final`` is the (N, 4, 4) stack of validated end-to-end matrices, or
+    None on the closedform engine.
+    """
     if engine == "closedform":
         if family == "werner":
-            query = WernerChainQuery(tuple(p.p for p in link_params), noise)
-            return werner_chain_concurrence(query), werner_chain_fidelity(query), None
-        query = BdsChainQuery(tuple(link_params), noise)
-        return bds_chain_concurrence(query), bds_chain_fidelity(query), None
-    final = chain_swap(ChainSpec(tuple(_dense_links(family, link_params)), noise), mode=swap_mode)
+            queries = [WernerChainQuery(tuple(p.p for p in chain), noise) for chain in params]
+            return [werner_chain_concurrence(q) for q in queries], [werner_chain_fidelity(q) for q in queries], None
+        queries = [BdsChainQuery(tuple(chain), noise) for chain in params]
+        return [bds_chain_concurrence(q) for q in queries], [bds_chain_fidelity(q) for q in queries], None
+    if family != "general":
+        maker = make_werner if family == "werner" else make_bell_diagonal
+        links = _link_stack([[maker(p) for p in chain] for chain in params])
+    _check_chain(noise, len(links))
+    final = _checked_density_matrix(_chain_matrices(links, noise, swap_mode), (len(params), 4, 4), "two-qubit state")
     return concurrence(final), teleportation_fidelity(final), final
 
 
-def _dense_links(family: str, link_params) -> list[TwoQubitState]:
-    """Dense Werner or BDS links built from their parameters."""
-    maker = make_werner if family == "werner" else make_bell_diagonal
-    return [maker(p) for p in link_params]
+def _link_stack(chains) -> np.ndarray:
+    """The links of equally long chains as one (n+1, N, 4, 4) array: [k, j] is chain j's k-th link."""
+    return np.array([[state.matrix for state in column] for column in zip(*chains)])
 
 
 def input_concurrences(family: str, link_params) -> tuple[float, ...]:
@@ -310,40 +327,10 @@ def _make_record(config, n, etas, index, link_params, c_in, c_out, f_out) -> Swe
     )
 
 
-def _closedform_record(config, n, etas, index, link_params) -> SweepRecord:
-    c_in = input_concurrences(config.family, link_params)
-    c_out, f_out, _ = evaluate_chain(config.family, "closedform", config.swap_mode, link_params, etas)
-    return _make_record(config, n, etas, index, link_params, c_in, c_out, f_out)
-
-
-def _oracle_records(config, n, etas, samples):
-    """Yield the record of each (index, (link_params, links)) sample of an oracle cell.
-
-    Each CHUNK_SIZE samples are one stack: links[k, j] is the k-th link of
-    the chunk's j-th sample.  Werner and BDS samples arrive as parameters
-    only (links None); their dense links are built here.
-    """
-    noise = NoiseModel(tuple(etas))
-    while chunk := list(islice(samples, CHUNK_SIZE)):
-        indices, sampled = zip(*chunk)
-        params = [link_params for link_params, _ in sampled]
-        states = [links if links is not None else _dense_links(config.family, p) for p, links in sampled]
-        links = np.array([[state.matrix for state in column] for column in zip(*states)])
-        if config.family == "general":
-            c_in = concurrence(links).T
-        else:
-            c_in = [input_concurrences(config.family, p) for p in params]
-        final = _checked_density_matrix(
-            _chain_matrices(links, noise, config.swap_mode), (len(chunk), 4, 4), "two-qubit state"
-        )
-        for row in zip(indices, params, c_in, concurrence(final), teleportation_fidelity(final)):
-            yield _make_record(config, n, etas, *row)
-
-
 def _random_links(config: SweepConfig, n: int):
     """Yield (link_params, links) for each sample, drawn from its own stream.
 
-    links is None for Werner and BDS samples, which are drawn as parameters only.
+    Werner and BDS samples are drawn as parameters only: their links are None.
     """
     for index in range(config.sample_count):
         rng = link_generator(config.seed, index)
@@ -351,7 +338,7 @@ def _random_links(config: SweepConfig, n: int):
             sample_state(config.family, rng, config.entangled_inputs_only, dense=False)
             for _ in range(n + 1)
         ))
-        yield params, None if states[0] is None else states
+        yield params, states
 
 
 def _grid_links(config: SweepConfig, n: int):
@@ -396,11 +383,20 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     records: list[SweepRecord] = []
     cells = []
     for n, eta_label, etas in plan:
+        noise = NoiseModel(etas)
         samples = enumerate(link_source(config, n))
-        if config.engine == "oracle":
-            cell_records = list(_oracle_records(config, n, etas, samples))
-        else:
-            cell_records = [_closedform_record(config, n, etas, index, p) for index, (p, _) in samples]
+        cell_records = []
+        while chunk := list(islice(samples, CHUNK_SIZE)):
+            indices, sampled = zip(*chunk)
+            params, states = zip(*sampled)
+            if config.family == "general":
+                links = _link_stack(states)
+                c_in = concurrence(links).T
+            else:
+                links = None
+                c_in = [input_concurrences(config.family, p) for p in params]
+            c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noise, params, links)
+            cell_records += [_make_record(config, n, etas, *row) for row in zip(indices, params, c_in, c_out, f_out)]
         records.extend(cell_records)
         cells.append(
             {

@@ -16,6 +16,8 @@ from entswap import (
     concurrence_bds,
     concurrence_werner,
     link_generator,
+    make_bell_diagonal,
+    make_werner,
     run_sweep,
     sample_state,
     teleportation_fidelity,
@@ -421,3 +423,23 @@ def test_oracle_sweep_across_a_chunk_boundary_matches_single_chains(swap_mode, f
         final = chain_swap(ChainSpec(links, NoiseModel(etas)), mode=swap_mode)
         assert record.c_in == tuple(map(c_link, params, links))
         assert (record.c_out, record.f_out) == (concurrence(final), teleportation_fidelity(final))
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+@pytest.mark.parametrize("swap_mode", ["paper", "povm"])
+def test_single_chain_oracle_matches_sweep_records(family, swap_mode):
+    # the CLI's single-chain route must give every sweep record bit for bit,
+    # and its final matrix must be chain_swap's on the same dense links
+    config = SweepConfig(
+        family=family, sample_count=30, n_repeaters=[1, 2], eta_spec=[0.8, 0.95],
+        seed=17, engine="oracle", swap_mode=swap_mode,
+    )
+    maker = {"werner": make_werner, "bds": make_bell_diagonal}[family]
+    records, _ = run_sweep(config)
+    assert len(records) == 2 * 2 * config.sample_count
+    for record in records:
+        c_out, f_out, final = evaluate_chain(family, "oracle", swap_mode, record.link_params, record.etas)
+        assert (record.c_out, record.f_out) == (c_out, f_out)
+        links = tuple(maker(p) for p in record.link_params)
+        expected = chain_swap(ChainSpec(links, NoiseModel(record.etas)), mode=swap_mode)
+        assert np.array_equal(final, expected.matrix)
