@@ -17,7 +17,10 @@ their dense links when it stacks them.  General links are drawn as dense
 states.  The closedform engine evaluates a stack chain by chain; the
 oracle runs every swap step, the validation of the end-to-end states and
 their measures once per stack, with the samples on a leading axis.  Each
-cell builds its noise model once.  ENTSWAP_THREADS is still read and must
+cell builds its noise model once, and a grid cell its axis: one link
+object and one input concurrence per axis value, shared by every record of
+the cell.  Records are slotted.  write_csv formats each distinct link
+object and etas tuple once per call.  ENTSWAP_THREADS is still read and must
 be an integer if set, but it selects nothing; a thread pool over these
 small numpy calls measured slower than the serial loop.
 """
@@ -111,7 +114,7 @@ class SweepConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SweepRecord:
     """One evaluated sample: its inputs, outputs and classification flags."""
 
@@ -319,7 +322,7 @@ def _make_record(config, n, etas, index, link_params, c_in, c_out, f_out) -> Swe
         n=n,
         link_params=tuple(link_params),
         etas=tuple(etas),
-        c_in=tuple(float(c) for c in c_in),
+        c_in=tuple(c_in),
         c_out=c_out,
         f_out=f_out,
         entangled=entangled,
@@ -328,36 +331,46 @@ def _make_record(config, n, etas, index, link_params, c_in, c_out, f_out) -> Swe
 
 
 def _random_links(config: SweepConfig, n: int):
-    """Yield (link_params, links) for each sample, drawn from its own stream.
+    """Yield (link_params, links, c_in) for each sample, drawn from its own stream.
 
     Werner and BDS samples are drawn as parameters only: their links are None.
+    A general sample's c_in is None; run_sweep reads it off the stacked links.
     """
+    general = config.family == "general"
     for index in range(config.sample_count):
         rng = link_generator(config.seed, index)
         params, states = zip(*(
             sample_state(config.family, rng, config.entangled_inputs_only, dense=False)
             for _ in range(n + 1)
         ))
-        yield params, states
+        yield params, states, None if general else input_concurrences(config.family, params)
 
 
 def _grid_links(config: SweepConfig, n: int):
+    """Yield (link_params, None, c_in) for each grid point of one cell.
+
+    Each axis value's link object and concurrence are built once per cell;
+    every record that uses the value shares them.
+    """
     steps = config.grid_steps
     if config.family == "werner":
         axis = [(i + 1) / steps for i in range(steps)]
         if config.entangled_inputs_only:
             axis = [p for p in axis if p > 1.0 / 3.0]
-        for combo in product(axis, repeat=n + 1):
-            yield tuple(WernerParams(p) for p in combo), None
+        links = [WernerParams(p) for p in axis]
+        c_axis = [concurrence_werner(p) for p in axis]
+        for combo, c_in in zip(product(links, repeat=n + 1), product(c_axis, repeat=n + 1)):
+            yield combo, None, c_in
     else:
         axis = [-1.0 + 2.0 * i / steps for i in range(steps + 1)]
         for t1, t2, t3 in product(axis, repeat=3):
             if not _inside_tetrahedron(t1, t2, t3):
                 continue
             params = BdsParams(t1, t2, t3)
-            if config.entangled_inputs_only and concurrence_bds(params) <= 0.0:
+            c = concurrence_bds(params)
+            if config.entangled_inputs_only and c <= 0.0:
                 continue
-            yield (params,) * (n + 1), None
+            yield (params,) * (n + 1), None, (c,) * (n + 1)
 
 
 def _check_thread_setting() -> None:
@@ -388,13 +401,11 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
         cell_records = []
         while chunk := list(islice(samples, CHUNK_SIZE)):
             indices, sampled = zip(*chunk)
-            params, states = zip(*sampled)
+            params, states, c_in = zip(*sampled)
+            links = None
             if config.family == "general":
                 links = _link_stack(states)
-                c_in = concurrence(links).T
-            else:
-                links = None
-                c_in = [input_concurrences(config.family, p) for p in params]
+                c_in = concurrence(links).T.tolist()
             c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noise, params, links)
             cell_records += [_make_record(config, n, etas, *row) for row in zip(indices, params, c_in, c_out, f_out)]
         records.extend(cell_records)
@@ -419,17 +430,36 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _format_etas(etas) -> str:
+    return ";".join(_fmt(e) for e in etas)
+
+
 def _format_link(family: str, params) -> str:
     if family == "werner":
         return _fmt(params.p)
     if family == "bds":
         return "(" + ",".join(_fmt(v) for v in params.as_tuple()) + ")"
-    values = [*params.r, *params.s, *params.T.flatten()]
+    # Python floats format like numpy scalars and are cheaper to format
+    values = params.r.tolist() + params.s.tolist() + params.T.ravel().tolist()
     return "(" + ",".join(_fmt(v) for v in values) + ")"
 
 
 def write_csv(records, path) -> None:
-    """Write records with the fixed 11-column schema; UTF-8, LF, %.12g."""
+    """Write records with the fixed 11-column schema; UTF-8, LF, %.12g.
+
+    Each distinct link object and etas tuple is formatted once per call.
+    The memo is keyed by id, never by value (0.0 and -0.0 are equal but
+    print differently); each entry holds its object, so the id cannot be
+    reused while the memo lives, and the memo dies with the call.
+    """
+    texts: dict[int, tuple[object, str]] = {}
+
+    def text(obj, format_, *args) -> str:
+        entry = texts.get(id(obj))
+        if entry is None:
+            entry = texts[id(obj)] = (obj, format_(*args, obj))
+        return entry[1]
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
@@ -439,8 +469,8 @@ def write_csv(records, path) -> None:
                     str(r.index),
                     r.family,
                     str(r.n),
-                    ";".join(_format_link(r.family, p) for p in r.link_params),
-                    ";".join(_fmt(e) for e in r.etas),
+                    ";".join([text(p, _format_link, r.family) for p in r.link_params]),
+                    text(r.etas, _format_etas),
                     _fmt(r.c_in_min),
                     _fmt(r.c_in_prod),
                     _fmt(r.c_out),

@@ -1,5 +1,8 @@
 import csv
+import io
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from entswap import (
     EntswapError,
     NoiseModel,
     SweepConfig,
+    SweepRecord,
+    WernerParams,
     chain_swap,
     concurrence,
     concurrence_bds,
@@ -312,6 +317,72 @@ def test_csv_werner_row_fields(tmp_path):
     assert row[0] == "0" and row[1] == "werner" and row[2] == "1"
     assert len(row[3].split(";")) == 2  # one visibility per link
     assert row[4] == "0.9"
+
+
+def _naive_csv(records) -> str:
+    """Reference CSV text: every field of every record formatted on its own."""
+    def link(family, params):
+        if family == "werner":
+            return f"{params.p:.12g}"
+        values = params.as_tuple() if family == "bds" else [*params.r, *params.s, *params.T.flatten()]
+        return "(" + ",".join(f"{v:.12g}" for v in values) + ")"
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    for r in records:
+        writer.writerow([
+            str(r.index), r.family, str(r.n),
+            ";".join(link(r.family, p) for p in r.link_params),
+            ";".join(f"{e:.12g}" for e in r.etas),
+            *(f"{v:.12g}" for v in (min(r.c_in), math.prod(r.c_in), r.c_out, r.f_out)),
+            str(r.entangled).lower(), str(r.useful).lower(),
+        ])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("config", [
+    SweepConfig(family="werner", mode="grid", grid_steps=4, n_repeaters=[1, 2], eta_spec=[0.8, 1.0]),
+    SweepConfig(family="bds", mode="grid", grid_steps=4, n_repeaters=2, eta_spec=[[0.9, 0.7]],
+                entangled_inputs_only=True, engine="oracle"),
+    SweepConfig(family="general", sample_count=20, n_repeaters=[1, 2], eta_spec=0.9, seed=3, engine="oracle"),
+], ids=["werner-grid", "bds-grid", "general-random"])
+def test_csv_matches_a_per_record_formatter(tmp_path, config):
+    records, _ = run_sweep(config)
+    path = tmp_path / "sweep.csv"
+    write_csv(records, path)
+    assert path.read_text(encoding="utf-8") == _naive_csv(records)
+
+
+def test_csv_tells_zero_from_negative_zero(tmp_path):
+    # 0.0 == -0.0 (and their params compare equal), but they print as 0 and -0
+    zero, negative_zero = WernerParams(0.0), WernerParams(-0.0)
+    record = dict(family="werner", n=1, c_in=(0.0, 0.0), c_out=0.0, f_out=0.5, entangled=False, useful=False)
+    records = [
+        SweepRecord(index=0, link_params=(zero, negative_zero), etas=(0.0,), **record),
+        SweepRecord(index=1, link_params=(negative_zero, zero), etas=(-0.0,), **record),
+    ]
+    path = tmp_path / "zeros.csv"
+    write_csv(records, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[3:5] for row in rows[1:]] == [["0;-0", "0"], ["-0;0", "-0"]]
+    assert path.read_text(encoding="utf-8") == _naive_csv(records)
+
+
+def test_werner_grid_records_stay_small():
+    # every record shares its cell's link objects, so it keeps only its own
+    # tuples and floats: under 500 bytes each for four links
+    config = SweepConfig(family="werner", mode="grid", grid_steps=10, n_repeaters=3)
+    run_sweep(config)  # warm-up: imports and first-call caches are not the records' cost
+    tracemalloc.start()
+    try:
+        records, _ = run_sweep(config)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 10**4
+    assert retained / len(records) < 500
 
 
 def test_general_family_oracle_sweep_records():
