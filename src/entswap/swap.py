@@ -13,13 +13,17 @@ measurement with success probability eta:
   keeps entanglement of perfect links down to eta > 1/3.  For Werner and
   Bell-diagonal links rho_1 = I/2, so the noise term is I_4/4.
 
-The oracle is one bilinear table per mode, built once at import from the
-Bell projectors and the outcome corrections (:func:`_swap_tables`): a
-swap step reads vec R @ (vec L @ table) and never forms the joined 16x16
-state.  The povm table holds the noise term as rho_1 (x) I/2 Tr R, which
-is rho_1 (x) I/2 because Tr R = 1 (to the 1e-12 trace tolerance): R is
-always a link of a :class:`ChainSpec`, and every link is a validated
-TwoQubitState (bare arrays are validated when the spec is built).
+The oracle reads bilinear tables built once at import from the Bell
+projectors and the outcome corrections (:func:`_swap_tables`): a swap
+reads vec R @ (vec L @ table) and never forms the joined 16x16 state.
+Every chain step, in both modes, reads the step table: the sum of the
+four corrected conditionals (the outcome-averaged perfect swap) and the
+povm noise term rho_1 (x) I/2 Tr R, which is rho_1 (x) I/2 because
+Tr R = 1 (to the 1e-12 trace tolerance): R is always a link of a
+:class:`ChainSpec`, and every link is a validated TwoQubitState (bare
+arrays are validated when the spec is built).  Only
+:func:`swap_once_perfect` reads the outcome table, for its per-outcome
+results.
 
 The kernels take (..., 4, 4) stacks of links, one pair per sample on the
 leading axes; one chain is the case without leading axes.  A sweep
@@ -38,7 +42,9 @@ from .states import _PAIR, BELL_KETS, PAULI, TwoQubitState
 #: Bell measurement outcomes in a fixed reporting order.
 OUTCOME_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
-#: Outcomes with probability below this are flagged and left uncorrected.
+#: In swap_once_perfect's per-outcome results, outcomes with probability
+#: below this are flagged and left uncorrected.  Averages and chain steps
+#: keep every outcome: a negligible one moves them by less than this.
 NEGLIGIBLE_PROBABILITY = 1e-14
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -69,13 +75,14 @@ def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
     every unit pair is a scatter of projector entries.  Each outcome's
     correction C X C is then applied to vec out as the matrix kron(C^T, C).
 
-    Rows are vec L.  The paper table's columns are (vec R, outcome, vec out)
-    and hold each corrected conditional.  The povm table's columns are
-    (vec R, part, vec out): part 0 is the sum of the corrected conditionals,
-    part 1 the noise term rho_1 (x) I/2 Tr R.  The identity part of each
-    noisy operator conditions nothing and leaves rho_1 (x) rho_4 / 4; its
-    four corrected copies sum to 2 rho_1 (x) I Tr R, because
-    sum_sigma sigma B sigma = 2 Tr(B) I.
+    Rows are vec L.  The outcome table's columns are (vec R, outcome,
+    vec out) and hold each corrected conditional; only swap_once_perfect
+    reads it.  The step table's columns are (vec R, part, vec out): part 0
+    is the sum of the corrected conditionals, which every chain step
+    reads, and part 1 the povm noise term rho_1 (x) I/2 Tr R.  The
+    identity part of each noisy operator conditions nothing and leaves
+    rho_1 (x) rho_4 / 4; its four corrected copies sum to 2 rho_1 (x) I Tr R,
+    because sum_sigma sigma B sigma = 2 Tr(B) I.
     """
     i, a, x, j, b, l, k, y = np.indices((2,) * 8).reshape(8, -1)
     units = np.zeros((16, 16, 4, 16), dtype=complex)
@@ -87,14 +94,14 @@ def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
     unit = np.eye(16, dtype=complex)
     left_noise = np.einsum("uijkj,lm->uilkm", unit.reshape(16, 2, 2, 2, 2), _I2 / 2.0)
     right_trace = np.trace(unit.reshape(16, 4, 4), axis1=1, axis2=2)
-    povm = np.empty((16, 16, 2, 16), dtype=complex)
-    povm[:, :, 0] = corrected.sum(axis=1).reshape(16, 16, 16)
-    povm[:, :, 1] = left_noise.reshape(16, 1, 16) * right_trace.reshape(1, 16, 1)
-    return corrected.reshape(16, 16 * 4 * 16), povm.reshape(16, 16 * 2 * 16)
+    step = np.empty((16, 16, 2, 16), dtype=complex)
+    step[:, :, 0] = corrected.sum(axis=1).reshape(16, 16, 16)
+    step[:, :, 1] = left_noise.reshape(16, 1, 16) * right_trace.reshape(1, 16, 1)
+    return corrected.reshape(16, 16 * 4 * 16), step.reshape(16, 16 * 2 * 16)
 
 
-# Built once at import; every swap step reads one of them.
-_PAPER_TABLE, _POVM_TABLE = _swap_tables()
+# Built once at import: per-outcome results read the first, every chain step the second.
+_OUTCOME_TABLE, _STEP_TABLE = _swap_tables()
 
 
 def _bilinear(table: np.ndarray, left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
@@ -108,14 +115,14 @@ def _bilinear(table: np.ndarray, left_m: np.ndarray, right_m: np.ndarray) -> np.
     return (right_m.reshape(lead + (1, 16)) @ half).reshape(lead + (-1, 4, 4))
 
 
-def _divide_members(m: np.ndarray, divisors) -> np.ndarray:
-    """Each (..., 4, 4) member of m divided by its entry of the (...) divisors.
+def _normalized(m: np.ndarray) -> np.ndarray:
+    """Each (..., 4, 4) member of m divided by its own trace.
 
-    Transposing moves the member axes to the front, so the divisors
+    Transposing moves the member axes to the front, so the traces
     broadcast over the reversed leading axes; one matrix divides by a
     plain scalar, which costs less than broadcasting a (1, 1) array.
     """
-    return (m.T / divisors.T).T
+    return (m.T / m.trace(axis1=-2, axis2=-1).real.T).T
 
 
 def _check_eta(eta: float) -> float:
@@ -206,42 +213,33 @@ def noisy_bell_measurement_ops(eta: float) -> list[np.ndarray]:
     return [eta * p + (1.0 - eta) / 4.0 * _EYE4 for p in _PROJECTORS]
 
 
-def _perfect_outcomes(left_m: np.ndarray, right_m: np.ndarray):
-    """Probabilities, unnormalized corrected states, kept-outcome mask, kept average.
-
-    The corrected states are the unnormalized conditional states of all
-    four outcomes, each corrected, as (..., 4, 4, 4).  The corrections are
-    unitary, so their traces are the outcome probabilities.  The mask is
-    per pair of links: a dropped outcome adds an exact zero, so each
-    pair's average is the sum over its own kept outcomes.
-    """
-    corrected = _bilinear(_PAPER_TABLE, left_m, right_m)
-    probs = corrected.trace(axis1=-2, axis2=-1).real
-    kept = probs >= NEGLIGIBLE_PROBABILITY
-    total = np.where(kept, probs, 0.0).sum(axis=-1)
-    average = _divide_members(np.where(kept[..., None, None], corrected, 0.0).sum(axis=-3), total)
-    return probs, corrected, kept, average
-
-
 def _perfect_average(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
-    return _perfect_outcomes(left_m, right_m)[3]
+    """The perfect swap averaged over its four corrected outcomes, normalized."""
+    return _normalized(_bilinear(_STEP_TABLE, left_m, right_m)[..., 0, :, :])
 
 
 def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
     """Perfect Bell measurement on the middle qubits of left (x) right.
 
-    Every outcome state carries its correction; ``averaged`` is the
-    probability-weighted mixture of the corrected outcomes (negligible
-    outcomes are flagged and omitted).  For Bell-diagonal inputs all four
-    corrected outcomes coincide, so averaging is lossless there.  A link
-    that is not a TwoQubitState is validated as one.
+    Every outcome state carries its correction (negligible outcomes are
+    flagged and left without a state); ``averaged`` is the mixture of all
+    four corrected outcomes, the perfect swap of every chain step.  For
+    Bell-diagonal inputs all four corrected outcomes coincide, so
+    averaging is lossless there.  A link that is not a TwoQubitState is
+    validated as one.
     """
-    probs, corrected, kept, average = _perfect_outcomes(_as_state(left).matrix, _as_state(right).matrix)
+    left_m, right_m = _as_state(left).matrix, _as_state(right).matrix
+    # unnormalized corrected conditionals; the corrections are unitary, so
+    # their traces are the outcome probabilities
+    corrected = _bilinear(_OUTCOME_TABLE, left_m, right_m)
+    probs = corrected.trace(axis1=-2, axis2=-1).real
     outcomes = tuple(
-        SwapOutcome(label, p, TwoQubitState(c / p) if k else None, not k)
-        for label, p, c, k in zip(OUTCOME_LABELS, probs, corrected, kept)
+        SwapOutcome(label, p, None, True)
+        if p < NEGLIGIBLE_PROBABILITY
+        else SwapOutcome(label, p, TwoQubitState(c / p), False)
+        for label, p, c in zip(OUTCOME_LABELS, probs, corrected)
     )
-    averaged = TwoQubitState(average)
+    averaged = TwoQubitState(_perfect_average(left_m, right_m))
     return SwapResult(outcomes, averaged, averaged)
 
 
@@ -256,9 +254,8 @@ def swap_once(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubit
 
 
 def _swap_once_povm_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) -> np.ndarray:
-    parts = _bilinear(_POVM_TABLE, left_m, right_m)
-    acc = eta * parts[..., 0, :, :] + (1.0 - eta) * parts[..., 1, :, :]
-    return _divide_members(acc, acc.trace(axis1=-2, axis2=-1).real)
+    parts = _bilinear(_STEP_TABLE, left_m, right_m)
+    return _normalized(eta * parts[..., 0, :, :] + (1.0 - eta) * parts[..., 1, :, :])
 
 
 def swap_once_povm(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubitState:

@@ -74,7 +74,7 @@ _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 _MAX_REJECTIONS = 1_000_000
 
 #: Samples a cell evaluates as one stack; it bounds the stacks'
-#: memory (about 16 MiB for the paper-mode step) whatever sample_count is.
+#: memory (about 8 MiB for a swap step of either mode) whatever sample_count is.
 CHUNK_SIZE = 1024
 
 

@@ -20,7 +20,7 @@ each member.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entswap import (
@@ -29,6 +29,8 @@ from entswap import (
     TwoQubitState,
     chain_swap,
     concurrence,
+    swap_once,
+    swap_once_perfect,
     swap_once_povm,
     teleportation_fidelity,
 )
@@ -122,6 +124,17 @@ def test_chain_outputs_have_valid_measures(chain, mode):
     final = chain_swap(ChainSpec(links, NoiseModel(tuple(etas))), mode=mode)
     assert 0.0 <= concurrence(final) <= 1.0 + 1e-12
     assert 0.5 <= teleportation_fidelity(final) <= 1.0 + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+@example(((TwoQubitState(_ZERO_ZERO),) * 2, [1.0]))
+def test_averaged_perfect_swap_is_the_paper_step_at_eta_one(chain):
+    # one definition of the averaged swap, also for |00><00| (x) |00><00|,
+    # whose two psi outcomes are negligible
+    left, right = chain[0][:2]
+    averaged = swap_once_perfect(left, right).averaged.matrix
+    assert np.array_equal(averaged, swap_once(left, right, 1.0).matrix)
 
 
 def _povm_chain(links, etas):
