@@ -139,9 +139,10 @@ class BlochForm:
         s = np.asarray(self.s, dtype=float).reshape(r.shape).copy()
         T = np.asarray(self.T, dtype=float).reshape(r.shape + (3,)).copy()
         slack = 1.0 + 1e-9
-        if _any((r * r).sum(axis=-1) > slack**2) or _any((s * s).sum(axis=-1) > slack**2):
+        # "not within the bound" rather than "beyond it", so NaN fails too
+        if _any(~((r * r).sum(axis=-1) <= slack**2)) or _any(~((s * s).sum(axis=-1) <= slack**2)):
             raise InvalidParametersError("Bloch vectors must have norm <= 1")
-        if np.abs(T).max() > slack:
+        if not np.abs(T).max() <= slack:
             raise InvalidParametersError("correlation matrix entries must lie in [-1, 1]")
         for arr, name in ((r, "r"), (s, "s"), (T, "T")):
             arr.flags.writeable = False

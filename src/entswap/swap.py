@@ -13,15 +13,14 @@ measurement with success probability eta:
   keeps entanglement of perfect links down to eta > 1/3.  For Werner and
   Bell-diagonal links rho_1 = I/2, so the noise term is I_4/4.
 
-The oracle reads bilinear tables built once at import from the Bell
-projectors and the outcome corrections (:func:`_swap_tables`): a swap
-reads vec R @ (vec L @ table) and never forms the joined 16x16 state.
-Every chain step, in both modes, reads the step table: the sum of the
-four corrected conditionals (the outcome-averaged perfect swap) and the
-povm noise term rho_1 (x) I/2 Tr R, which is rho_1 (x) I/2 because
-Tr R = 1 (to the 1e-12 trace tolerance): R is always a link of a
-:class:`ChainSpec`, and every link is a validated TwoQubitState (bare
-arrays are validated when the spec is built).  Only
+The oracle reads bilinear tables built once at import (:func:`_swap_tables`):
+a swap reads vec R @ (vec L @ table) and never forms the joined 16x16
+state.  The tables are the conditional-state formula
+(:func:`_corrected_conditionals`) applied to every pair of matrix units,
+with the operators of :func:`noisy_bell_measurement_ops` at eta = 1 (the
+Bell projectors) and at eta = 0 (I_4/4 each).  The operators are linear
+in eta, so a povm step is the eta-weighted mix of the two.  Every chain
+step, in both modes, reads the step table of outcome sums; only
 :func:`swap_once_perfect` reads the outcome table, for its per-outcome
 results.
 
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainSwapError, DomainError, EntswapError
-from .states import _PAIR, BELL_KETS, PAULI, TwoQubitState
+from .states import _PAIR, BELL_KETS, TwoQubitState
 
 #: Bell measurement outcomes in a fixed reporting order.
 OUTCOME_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -48,14 +47,10 @@ OUTCOME_LABELS = ("phi+", "phi-", "psi+", "psi-")
 NEGLIGIBLE_PROBABILITY = 1e-14
 
 _EYE4 = np.eye(4, dtype=complex)
-_I2 = PAULI[0]
 
 _PROJECTORS = tuple(
     np.outer(BELL_KETS[label], BELL_KETS[label].conj()) for label in OUTCOME_LABELS
 )
-# Projectors stacked and index-split (outcome, j, k, j', k') for the
-# middle-pair contraction in _swap_tables.
-_PROJECTOR_STACK = np.stack(_PROJECTORS).reshape(4, 2, 2, 2, 2)
 
 # Outcome correction on the right-hand qubit.  Each Bell state carries a
 # Pauli label via |B_sigma> = (I (x) sigma)|phi+>; undoing that label folds
@@ -64,44 +59,23 @@ _CORRECTION_INDEX = {"phi+": 0, "psi+": 1, "psi-": 2, "phi-": 3}
 _CORRECTIONS = _PAIR[0, [_CORRECTION_INDEX[label] for label in OUTCOME_LABELS]]
 
 
-def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The swap of links L and R as bilinear maps of vec L and vec R.
+def _corrected_conditionals(ops, left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
+    """C_o Tr_23[(I (x) M_o (x) I)(L (x) R)] C_o for the four operators M_o, as (..., 4, 4, 4).
 
-    Measuring the middle pair of L (x) R with P_o leaves qubits (1, 4) in
-    Tr_23[(I (x) P_o (x) I)(L (x) R)], that is
-    out_o[(i l), (x y)] = sum P_o[(j k), (a b)] L[(i a), (x j)] R[(b l), (k y)].
-    For the matrix units L = E_(ia),(xj) and R = E_(bl),(ky) the sum is the
-    one projector entry P_o[(j k), (a b)] at ((i l), (x y)), so the table of
-    every unit pair is a scatter of projector entries.  Each outcome's
-    correction C X C is then applied to vec out as the matrix kron(C^T, C).
-
-    Rows are vec L.  The outcome table's columns are (vec R, outcome,
-    vec out) and hold each corrected conditional; only swap_once_perfect
-    reads it.  The step table's columns are (vec R, part, vec out): part 0
-    is the sum of the corrected conditionals, which every chain step
-    reads, and part 1 the povm noise term rho_1 (x) I/2 Tr R.  The
-    identity part of each noisy operator conditions nothing and leaves
-    rho_1 (x) rho_4 / 4; its four corrected copies sum to 2 rho_1 (x) I Tr R,
-    because sum_sigma sigma B sigma = 2 Tr(B) I.
+    With each index split into qubits,
+    out_o[(i l), (x y)] = sum M_o[(j k), (a b)] L[(i a), (x j)] R[(b l), (k y)],
+    and C_o is outcome o's correction on the right-hand qubit.  L and R
+    are (..., 4, 4) stacks that broadcast against each other.
     """
-    i, a, x, j, b, l, k, y = np.indices((2,) * 8).reshape(8, -1)
-    units = np.zeros((16, 16, 4, 16), dtype=complex)
-    units[8 * i + 4 * a + 2 * x + j, 8 * b + 4 * l + 2 * k + y, :, 8 * i + 4 * l + 2 * x + y] = (
-        _PROJECTOR_STACK[:, j, k, a, b].T
+    split = (2, 2, 2, 2)
+    out = np.einsum(
+        "ojkab,...iaxj,...blky->...oilxy",
+        np.reshape(ops, (4,) + split),
+        left_m.reshape(left_m.shape[:-2] + split),
+        right_m.reshape(right_m.shape[:-2] + split),
+        optimize=True,
     )
-    correct = np.einsum("oba,ocd->oacbd", _CORRECTIONS, _CORRECTIONS).reshape(4, 16, 16)
-    corrected = (units.reshape(256, 4, 16).transpose(1, 0, 2) @ correct).transpose(1, 0, 2)
-    unit = np.eye(16, dtype=complex)
-    left_noise = np.einsum("uijkj,lm->uilkm", unit.reshape(16, 2, 2, 2, 2), _I2 / 2.0)
-    right_trace = np.trace(unit.reshape(16, 4, 4), axis1=1, axis2=2)
-    step = np.empty((16, 16, 2, 16), dtype=complex)
-    step[:, :, 0] = corrected.sum(axis=1).reshape(16, 16, 16)
-    step[:, :, 1] = left_noise.reshape(16, 1, 16) * right_trace.reshape(1, 16, 1)
-    return corrected.reshape(16, 16 * 4 * 16), step.reshape(16, 16 * 2 * 16)
-
-
-# Built once at import: per-outcome results read the first, every chain step the second.
-_OUTCOME_TABLE, _STEP_TABLE = _swap_tables()
+    return _CORRECTIONS @ out.reshape(out.shape[:-4] + (4, 4)) @ _CORRECTIONS
 
 
 def _bilinear(table: np.ndarray, left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
@@ -211,6 +185,30 @@ def noisy_bell_measurement_ops(eta: float) -> list[np.ndarray]:
     """
     _check_eta(eta)
     return [eta * p + (1.0 - eta) / 4.0 * _EYE4 for p in _PROJECTORS]
+
+
+def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The swap of links L and R as bilinear maps of vec L and vec R.
+
+    Each entry is :func:`_corrected_conditionals` of one pair of matrix
+    units, L = E_u and R = E_v; rows are vec L.  The outcome table's
+    columns are (vec R, outcome, vec out) and hold the corrected
+    conditionals of the perfect measurement (eta = 1); only
+    swap_once_perfect reads it.  The step table's columns are (vec R,
+    part, vec out): part 0 is their sum over outcomes, which every chain
+    step reads, and part 1 the same sum at eta = 0, the povm noise term.
+    """
+    unit = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    perfect, noise = (
+        _corrected_conditionals(noisy_bell_measurement_ops(eta), unit[:, None], unit[None, :])
+        for eta in (1.0, 0.0)
+    )
+    step = np.stack([perfect.sum(axis=2), noise.sum(axis=2)], axis=2)
+    return perfect.reshape(16, -1), step.reshape(16, -1)
+
+
+# Built once at import: per-outcome results read the first, every chain step the second.
+_OUTCOME_TABLE, _STEP_TABLE = _swap_tables()
 
 
 def _perfect_average(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:

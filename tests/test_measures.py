@@ -6,6 +6,7 @@ from entswap import (
     BdsParams,
     ChainSpec,
     DomainError,
+    InvalidParametersError,
     NoiseModel,
     TwoQubitState,
     apply_local,
@@ -98,6 +99,20 @@ def test_measures_stay_in_range():
         f = teleportation_fidelity(state)
         assert 0.0 <= c <= 1.0 + 1e-12
         assert 0.5 - 1e-12 <= f <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), None])
+def test_fidelity_rejects_nan(entry):
+    # a NaN entry reaches every Pauli expectation, so r, s and T all carry it
+    m = bell_state("phi+").matrix.copy()
+    if entry is None:
+        m[:] = np.nan
+    else:
+        m[entry] = np.nan
+    with pytest.raises(InvalidParametersError):
+        teleportation_fidelity(m)
+    with pytest.raises(InvalidParametersError):
+        teleportation_fidelity(np.stack([bell_state("psi-").matrix, m]))
 
 
 def test_fidelity_invariant_under_local_paulis():

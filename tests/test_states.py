@@ -266,6 +266,24 @@ def test_bloch_form_bounds():
         BlochForm(np.zeros(3), np.zeros(3), np.full((3, 3), 1.5))
 
 
+def _bloch_with_nan(part):
+    r, s, T = np.zeros(3), np.zeros(3), np.zeros((3, 3))
+    {"r": r, "s": s, "T": T}[part].flat[1] = np.nan
+    return r, s, T
+
+
+@pytest.mark.parametrize("part", ["r", "s", "T"])
+def test_bloch_form_rejects_nan(part):
+    with pytest.raises(InvalidParametersError):
+        BlochForm(*_bloch_with_nan(part))
+    with pytest.raises(InvalidParametersError):
+        make_general(BlochForm(*_bloch_with_nan(part)))
+    # a stack with one NaN member fails too
+    stack = [np.stack([np.zeros_like(x), x, np.zeros_like(x)]) for x in _bloch_with_nan(part)]
+    with pytest.raises(InvalidParametersError):
+        BlochForm(*stack)
+
+
 def test_werner_params_domain():
     assert WernerParams(0.5).p == 0.5
     with pytest.raises(DomainError):

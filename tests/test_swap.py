@@ -251,6 +251,37 @@ def test_perfect_swap_outcomes_match_definition_for_general_states():
     assert sum(o.negligible for o in result.per_outcome) == 2
 
 
+def test_swap_tables_are_the_16x16_definition_exactly():
+    # every matrix-unit pair through the 16x16 route: corr Tr_23[(I x M_o x I)(E_u x E_v)] corr,
+    # with M_o the operators at eta = 1 and eta = 0; every entry is dyadic, so both routes are exact
+    from entswap import partial_trace_mid
+    from entswap.states import PAULI
+    from entswap.swap import _OUTCOME_TABLE, _STEP_TABLE
+
+    i2 = np.eye(2, dtype=complex)
+    corr_by_label = {"phi+": PAULI[0], "psi+": PAULI[1], "psi-": PAULI[2], "phi-": PAULI[3]}
+    corrs = [np.kron(i2, corr_by_label[label]) for label in OUTCOME_LABELS]
+    mids = {
+        eta: [np.kron(np.kron(i2, op), i2) for op in noisy_bell_measurement_ops(eta)]
+        for eta in (1.0, 0.0)
+    }
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    outcomes = np.empty((16, 16, 4, 4, 4), dtype=complex)
+    step = np.empty((16, 16, 2, 4, 4), dtype=complex)
+    for u in range(16):
+        for v in range(16):
+            joint = np.kron(units[u], units[v])
+            for part, eta in enumerate((1.0, 0.0)):
+                conditionals = [
+                    corr @ partial_trace_mid(mid @ joint) @ corr for mid, corr in zip(mids[eta], corrs)
+                ]
+                if eta == 1.0:
+                    outcomes[u, v] = conditionals
+                step[u, v, part] = sum(conditionals)
+    assert np.array_equal(_OUTCOME_TABLE.reshape(outcomes.shape), outcomes)
+    assert np.array_equal(_STEP_TABLE.reshape(step.shape), step)
+
+
 @pytest.mark.parametrize("mode", ["paper", "povm"])
 def test_chain_rejects_unvalidated_bare_link(mode):
     # a trace-2 array must not pass as a link, however the chain is read

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from entswap import (
     write_summary_json,
 )
 from entswap import sweep as sweep_module
-from entswap.measures import flags
+from entswap.measures import FLAG_MARGIN, flags
 from entswap.sweep import _inside_tetrahedron, evaluate_chain
 
 
@@ -408,6 +409,48 @@ def test_engines_agree_on_flags_at_exact_thresholds(family, etas):
     oracle, _ = run_sweep(SweepConfig(engine="oracle", **base))
     assert len(closed) == len(oracle)
     assert [(r.entangled, r.useful) for r in closed] == [(r.entangled, r.useful) for r in oracle]
+
+
+def _exact_c_f(record):
+    """C and F of a grid record's Werner or BDS chain in rationals, from Fraction of each float input."""
+    scale = Fraction(1)
+    for eta in map(Fraction, record.etas):
+        scale *= eta / (4 - 3 * eta)
+    if record.family == "werner":
+        p = scale * math.prod(Fraction(link.p) for link in record.link_params)
+        return max(Fraction(0), (3 * p - 1) / 2), (1 + p) / 2
+    t1, t2, t3 = (
+        scale * math.prod(Fraction(getattr(link, name)) for link in record.link_params)
+        for name in ("t1", "t2", "t3")
+    )
+    t2 *= (-1) ** record.n
+    largest = max(1 - t1 - t2 - t3, 1 - t1 + t2 + t3, 1 + t1 - t2 + t3, 1 + t1 + t2 - t3) / 4
+    return max(Fraction(0), 2 * largest - 1), (1 + (abs(t1) + abs(t2) + abs(t3)) / 3) / 2
+
+
+@pytest.mark.parametrize("family, records_expected, near_expected", [("werner", 3024, 4), ("bds", 2184, 8)])
+def test_flags_equal_exact_flags_on_rational_grids(family, records_expected, near_expected):
+    # grid links and etas are rationals, so C > 0 and F > 2/3 can be decided
+    # exactly.  The one allowed difference is an exact value at most
+    # FLAG_MARGIN above its threshold, which the float flag must call false:
+    # the Werner links (2/3, 1) at eta = 0.8 and the BDS pairs
+    # (-1/3, -+2/3, -+2/3) at eta = 1, on both engines
+    margin = Fraction(FLAG_MARGIN)
+    two_thirds = Fraction(2, 3)
+    total = near = 0
+    for engine in ("closedform", "oracle"):
+        for etas in ([0.8, 1.0], [0.9, 1.0], [0.7, 0.85]):
+            base = dict(family=family, mode="grid", grid_steps=6, n_repeaters=[1, 2], eta_spec=etas)
+            records, _ = run_sweep(SweepConfig(engine=engine, **base))
+            for record in records:
+                c, f = _exact_c_f(record)
+                exact = (c > 0, f > two_thirds)
+                close = (0 < c <= margin, two_thirds < f <= two_thirds + margin)
+                expected = tuple(e and not n for e, n in zip(exact, close))
+                assert (record.entangled, record.useful) == expected, (engine, record)
+                near += any(close)
+            total += len(records)
+    assert (total, near) == (records_expected, near_expected)
 
 
 @pytest.mark.parametrize("family", ["werner", "bds", "general"])
