@@ -14,17 +14,9 @@ import sys
 
 import numpy as np
 
-from .closedform import (
-    UNBOUNDED,
-    BdsChainQuery,
-    bds_final_correlations,
-    eta_threshold,
-    max_entangled_swaps,
-    subset_sum_normalization,
-)
+from .closedform import UNBOUNDED, eta_threshold, max_entangled_swaps, subset_sum_normalization
 from .errors import ConfigError, EntswapError
-from .states import BdsParams, WernerParams, make_bell_diagonal, pauli_decompose
-from .swap import NoiseModel
+from .states import BdsParams, WernerParams, pauli_decompose
 from .sweep import (
     SweepConfig,
     check_engine,
@@ -85,19 +77,8 @@ def _emit(payload: dict) -> None:
     print(json.dumps(round_floats(payload), indent=2))
 
 
-def _as_bds_query(family: str, params, etas) -> BdsChainQuery:
-    # a visibility-p link is the Bell-diagonal point (-p, -p, -p)
-    if family == "werner":
-        ts = tuple(BdsParams(-p.p, -p.p, -p.p) for p in params)
-    else:
-        ts = tuple(params)
-    return BdsChainQuery(ts, NoiseModel(etas))
-
-
 def _chain_report(args, params, etas, engine: str) -> int:
     c_out, f_out, final = evaluate_chain(args.family, engine, args.mode, params, etas)
-    if final is None:
-        final = make_bell_diagonal(bds_final_correlations(_as_bds_query(args.family, params, etas)))
     _emit(
         {
             "c_in": input_concurrences(args.family, params),
@@ -174,12 +155,13 @@ def _bds_draws(rng, count: int):
 
 
 def _closedform_deviation(family: str, draws) -> float:
-    """Largest gap in C or F between the closedform and oracle engines over the draws."""
+    """Largest gap in C, F or an end-state entry between the closedform and oracle engines."""
     worst = 0.0
     for params, etas in draws:
-        c_closed, f_closed, _ = evaluate_chain(family, "closedform", "paper", params, etas)
-        c_oracle, f_oracle, _ = evaluate_chain(family, "oracle", "paper", params, etas)
-        worst = max(worst, abs(c_closed - c_oracle), abs(f_closed - f_oracle))
+        c_closed, f_closed, final_closed = evaluate_chain(family, "closedform", "paper", params, etas)
+        c_oracle, f_oracle, final_oracle = evaluate_chain(family, "oracle", "paper", params, etas)
+        gap = np.abs(final_closed - final_oracle).max()
+        worst = max(worst, abs(c_closed - c_oracle), abs(f_closed - f_oracle), gap)
     return float(worst)
 
 
@@ -253,7 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--summary", required=True, help="output summary JSON path")
     sweep.set_defaults(func=_cmd_sweep)
 
-    validate = sub.add_parser("validate", help="cross-check closed forms against the density-matrix engine")
+    validate = sub.add_parser(
+        "validate", help="cross-check closed forms (C, F and end state) against the density-matrix engine"
+    )
     validate.add_argument("--samples", type=int, required=True)
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument("--tol", type=float, default=1e-9)

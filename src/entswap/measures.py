@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidStateError
 from .states import _PAIR, BdsParams, _as_matrix, check_visibility, pauli_decompose
 
 _YY = _PAIR[2, 2]
@@ -41,9 +42,13 @@ def concurrence(state) -> float | np.ndarray:
     eigenvalues turn rounding noise of 1e-17 into errors of 1e-8.
 
     One matrix gives a float; a (..., 4, 4) stack gives an array of each
-    member's value, computed by the same operations.
+    member's value, computed by the same operations.  A NaN or infinite
+    entry raises InvalidStateError.
     """
-    w, v = np.linalg.eigh(_as_matrix(state))
+    m = _as_matrix(state)
+    if not np.isfinite(m).all():
+        raise InvalidStateError("concurrence input has a NaN or infinite entry")
+    w, v = np.linalg.eigh(m)
     scaled = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
     lam = np.linalg.svd(scaled.swapaxes(-1, -2) @ _YY @ scaled, compute_uv=False)
     # lam.T[k] is lam[..., k] with the leading axes reversed, and .T puts

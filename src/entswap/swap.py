@@ -90,13 +90,8 @@ def _bilinear(table: np.ndarray, left_m: np.ndarray, right_m: np.ndarray) -> np.
 
 
 def _normalized(m: np.ndarray) -> np.ndarray:
-    """Each (..., 4, 4) member of m divided by its own trace.
-
-    Transposing moves the member axes to the front, so the traces
-    broadcast over the reversed leading axes; one matrix divides by a
-    plain scalar, which costs less than broadcasting a (1, 1) array.
-    """
-    return (m.T / m.trace(axis1=-2, axis2=-1).real.T).T
+    """Each (..., 4, 4) member of m divided by its own trace."""
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _check_eta(eta: float) -> float:

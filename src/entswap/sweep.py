@@ -10,19 +10,19 @@ Bell-diagonal family.
 
 Cells are evaluated serially, each in stacks of a fixed number of samples
 (CHUNK_SIZE) through one engine dispatch, _evaluate_chains; a single chain
-(evaluate_chain) is the stack of one.  Links are drawn or enumerated one
-sample at a time.  Werner and Bell-diagonal links are kept as their family
-parameters, which is all the closedform engine reads; the oracle builds
-their dense links when it stacks them.  General links are drawn as dense
-states.  The closedform engine evaluates a stack chain by chain; the
-oracle runs every swap step, the validation of the end-to-end states and
-their measures once per stack, with the samples on a leading axis.  Each
-cell builds its noise model once, and a grid cell its axis: one link
-object and one input concurrence per axis value, shared by every record of
-the cell.  Records are slotted.  write_csv formats each distinct link
-object and etas tuple once per call.  ENTSWAP_THREADS is still read and must
-be an integer if set, but it selects nothing; a thread pool over these
-small numpy calls measured slower than the serial loop.
+(evaluate_chain) is the stack of one, and on the closedform engine it
+also builds the end-to-end state, which sweeps never read.  Links are
+drawn or enumerated one sample at a time.  Werner and Bell-diagonal links
+are kept as their family parameters, which is all the closedform engine
+reads; the oracle builds their dense links when it stacks them.  General
+links are drawn as dense states.  The closedform engine evaluates a stack
+chain by chain; the oracle runs every swap step, the validation of the
+end-to-end states and their measures once per stack, with the samples on
+a leading axis.  Each cell builds its noise model once, and a grid cell
+its axis: one link object and one input concurrence per axis value,
+shared by every record of the cell.  Records are slotted.  write_csv
+formats each distinct link object and etas tuple once per call.
+ENTSWAP_THREADS must be an integer if set, but it selects nothing.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .closedform import (
     WernerChainQuery,
     bds_chain_concurrence,
     bds_chain_fidelity,
+    bds_final_correlations,
     werner_chain_concurrence,
     werner_chain_fidelity,
 )
@@ -270,12 +271,19 @@ def check_engine(family: str, engine: str, swap_mode: str) -> None:
 def evaluate_chain(family: str, engine: str, swap_mode: str, link_params, etas):
     """End-to-end (c_out, f_out, final) of one chain of Werner or BDS links.
 
-    The stack of one of :func:`_evaluate_chains`.  ``final`` is the
-    oracle's validated 4x4 end-to-end matrix, or None on the closedform
-    engine, which reads only the family parameters.
+    c_out and f_out are the stack of one of :func:`_evaluate_chains`.
+    ``final`` is the validated 4x4 end-to-end matrix on both engines: the
+    oracle's swapped state, or on the closedform engine the Bell-diagonal
+    state of :func:`bds_final_correlations`, a Werner link being the
+    triple (-p, -p, -p).
     """
-    c_out, f_out, final = _evaluate_chains(family, engine, swap_mode, NoiseModel(tuple(etas)), [link_params], None)
-    return float(c_out[0]), float(f_out[0]), None if final is None else final[0]
+    noise = NoiseModel(tuple(etas))
+    c_out, f_out, final = _evaluate_chains(family, engine, swap_mode, noise, [link_params], None)
+    if final is not None:
+        return float(c_out[0]), float(f_out[0]), final[0]
+    ts = tuple(BdsParams(-p.p, -p.p, -p.p) for p in link_params) if family == "werner" else tuple(link_params)
+    state = make_bell_diagonal(bds_final_correlations(BdsChainQuery(ts, noise)))
+    return float(c_out[0]), float(f_out[0]), state.matrix
 
 
 def _evaluate_chains(family: str, engine: str, swap_mode: str, noise: NoiseModel, params, links):

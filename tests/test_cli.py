@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from entswap import BdsParams
+from entswap import sweep as sweep_module
 from entswap.cli import run
 
 
@@ -218,6 +220,21 @@ def test_validate_fails_at_zero_tolerance(capsys):
     assert code == 1
     assert payload["passed"] is False
     assert payload["werner_max_deviation"] > 0
+
+
+def test_validate_catches_a_wrong_closedform_end_state(monkeypatch, capsys):
+    # t1 and t2 swapped stay inside the tetrahedron, and the closed-form C and F
+    # read closedform's own function, so only the end-state comparison sees it
+    correct = sweep_module.bds_final_correlations
+
+    def swapped(query):
+        t = correct(query)
+        return BdsParams(t.t2, t.t1, t.t3)
+
+    monkeypatch.setattr(sweep_module, "bds_final_correlations", swapped)
+    code, payload = run_json(capsys, ["validate", "--samples", "50", "--seed", "1"])
+    assert code == 1
+    assert payload["passed"] is False
 
 
 def test_validate_rejects_zero_samples(capsys):

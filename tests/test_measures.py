@@ -7,6 +7,7 @@ from entswap import (
     ChainSpec,
     DomainError,
     InvalidParametersError,
+    InvalidStateError,
     NoiseModel,
     TwoQubitState,
     apply_local,
@@ -113,6 +114,22 @@ def test_fidelity_rejects_nan(entry):
         teleportation_fidelity(m)
     with pytest.raises(InvalidParametersError):
         teleportation_fidelity(np.stack([bell_state("psi-").matrix, m]))
+
+
+@pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((1, 2), np.inf), (None, np.nan)])
+def test_concurrence_rejects_non_finite(entry, value):
+    # eigh of a non-finite matrix returns garbage or raises LinAlgError, so
+    # the check must come first, for one matrix and for a stack member alike
+    m = bell_state("phi+").matrix.copy()
+    if entry is None:
+        m[:] = value
+    else:
+        m[entry] = value
+    for bad in (m, np.stack([bell_state("psi-").matrix, m])):
+        with pytest.raises(InvalidStateError):
+            concurrence(bad)
+        with pytest.raises(InvalidStateError):
+            report(bad)
 
 
 def test_fidelity_invariant_under_local_paulis():

@@ -557,3 +557,22 @@ def test_single_chain_oracle_matches_sweep_records(family, swap_mode):
         links = tuple(maker(p) for p in record.link_params)
         expected = chain_swap(ChainSpec(links, NoiseModel(record.etas)), mode=swap_mode)
         assert np.array_equal(final, expected.matrix)
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+def test_closedform_end_state_matches_oracle(family):
+    # the closed forms' Bell-diagonal end state, alternating middle sign
+    # included, is the oracle's swapped state for every chain length
+    rng = np.random.default_rng(2024)
+    for n in range(1, 5):
+        for _ in range(25):
+            if family == "werner":
+                params = [WernerParams(float(p)) for p in rng.uniform(0.0, 1.0, size=n + 1)]
+            else:
+                params = [sample_state("bds", rng, dense=False)[0] for _ in range(n + 1)]
+            etas = rng.uniform(0.0, 1.0, size=n)
+            _, _, closed = evaluate_chain(family, "closedform", "paper", params, etas)
+            _, _, oracle = evaluate_chain(family, "oracle", "paper", params, etas)
+            assert isinstance(closed, np.ndarray) and closed.shape == (4, 4)
+            assert not closed.flags.writeable
+            assert np.abs(closed - oracle).max() <= 1e-12
