@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError
-from .states import _PAIR, BdsParams, _as_matrix, check_visibility, pauli_decompose
+from .states import _PAIR, BdsParams, TwoQubitState, _as_matrix, check_visibility, pauli_decompose
 
 _YY = _PAIR[2, 2]
 
@@ -46,7 +46,8 @@ def concurrence(state) -> float | np.ndarray:
     entry raises InvalidStateError.
     """
     m = _as_matrix(state)
-    if not np.isfinite(m).all():
+    # a TwoQubitState's matrix was checked finite when it was built and is read-only
+    if not isinstance(state, TwoQubitState) and not np.isfinite(m).all():
         raise InvalidStateError("concurrence input has a NaN or infinite entry")
     w, v = np.linalg.eigh(m)
     scaled = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]

@@ -8,20 +8,24 @@ the Cartesian product of per-link visibility grids for the Werner family,
 and one shared correlation triple per grid point (identical links) for the
 Bell-diagonal family.
 
-Cells are evaluated serially, each in stacks of a fixed number of samples
-(CHUNK_SIZE) through one engine dispatch, _evaluate_chains; a single chain
-(evaluate_chain) is the stack of one, and on the closedform engine it
-also builds the end-to-end state, which sweeps never read.  Links are
-drawn or enumerated one sample at a time.  Werner and Bell-diagonal links
-are kept as their family parameters, which is all the closedform engine
-reads; the oracle builds their dense links when it stacks them.  General
-links are drawn as dense states.  The closedform engine evaluates a stack
+Cells are evaluated serially, one chain length n at a time, in stacks of
+a fixed number of samples (CHUNK_SIZE) through one engine dispatch,
+_evaluate_chains; a single chain (evaluate_chain) is the stack of one, and
+on the closedform engine it also builds the end-to-end state, which sweeps
+never read.  Each (sample, n) is drawn or enumerated once and serves every
+eta cell of that n, whose records share its link objects; a sample is
+drawn again for each n.  Werner and Bell-diagonal links are kept as their
+family parameters, which is all the closedform engine reads; the oracle
+builds their dense links when it stacks them.  General links are drawn as
+dense states, stacked, and their input concurrences taken once per stack
+for every eta cell of its n.  The closedform engine evaluates a stack
 chain by chain; the oracle runs every swap step, the validation of the
-end-to-end states and their measures once per stack, with the samples on
-a leading axis.  Each cell builds its noise model once, and a grid cell
-its axis: one link object and one input concurrence per axis value,
-shared by every record of the cell.  Records are slotted.  write_csv
-formats each distinct link object and etas tuple once per call.
+end-to-end states and their measures once per stack and cell, with the
+samples on a leading axis.  Each cell builds its noise model once, and a
+grid builds its axis once per n: one link object and one input
+concurrence per axis value, shared by every record of that n.  Records
+are slotted.  write_csv formats each distinct link object and etas tuple
+once per call.
 ENTSWAP_THREADS must be an integer if set, but it selects nothing.
 """
 
@@ -32,7 +36,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from itertools import islice, product
+from itertools import groupby, islice, product
 
 import numpy as np
 
@@ -74,8 +78,9 @@ ETA_GRID_DEFAULT = tuple(round(0.1 * k, 1) for k in range(11))
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 _MAX_REJECTIONS = 1_000_000
 
-#: Samples a cell evaluates as one stack; it bounds the stacks'
-#: memory (about 8 MiB for a swap step of either mode) whatever sample_count is.
+#: Samples drawn as one stack and evaluated by every eta cell of their n; it
+#: bounds the stacks' memory (about 8 MiB for a swap step of either mode)
+#: whatever sample_count is.
 CHUNK_SIZE = 1024
 
 
@@ -355,9 +360,9 @@ def _random_links(config: SweepConfig, n: int):
 
 
 def _grid_links(config: SweepConfig, n: int):
-    """Yield (link_params, None, c_in) for each grid point of one cell.
+    """Yield (link_params, None, c_in) for each grid point of chain length n.
 
-    Each axis value's link object and concurrence are built once per cell;
+    Each axis value's link object and concurrence are built once per call;
     every record that uses the value shares them.
     """
     steps = config.grid_steps
@@ -396,17 +401,20 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     """Evaluate every cell of the sweep; returns (records, summary).
 
     Records are grouped by cell in plan order and sorted by sample index
-    inside each cell.  Identical configs produce identical records.
+    inside each cell.  Identical configs produce identical records.  The
+    links of each (sample, n) are drawn or enumerated once, CHUNK_SIZE
+    samples at a time, and every eta cell of that n reads them, so those
+    cells' records share link objects.
     """
     plan = _plan(config)
     _check_thread_setting()
     link_source = _random_links if config.mode == "random" else _grid_links
     records: list[SweepRecord] = []
     cells = []
-    for n, eta_label, etas in plan:
-        noise = NoiseModel(etas)
+    # the plan is n-major: each chunk of links is drawn once and serves every eta cell of its n
+    for n, n_cells in groupby(plan, key=lambda cell: cell[0]):
+        n_cells = [(eta_label, etas, NoiseModel(etas), []) for _, eta_label, etas in n_cells]
         samples = enumerate(link_source(config, n))
-        cell_records = []
         while chunk := list(islice(samples, CHUNK_SIZE)):
             indices, sampled = zip(*chunk)
             params, states, c_in = zip(*sampled)
@@ -414,18 +422,20 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
             if config.family == "general":
                 links = _link_stack(states)
                 c_in = concurrence(links).T.tolist()
-            c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noise, params, links)
-            cell_records += [_make_record(config, n, etas, *row) for row in zip(indices, params, c_in, c_out, f_out)]
-        records.extend(cell_records)
-        cells.append(
-            {
-                "n": n,
-                "eta": eta_label,
-                "samples": len(cell_records),
-                "entangled": sum(1 for r in cell_records if r.entangled),
-                "useful": sum(1 for r in cell_records if r.useful),
-            }
-        )
+            for _, etas, noise, cell_records in n_cells:
+                c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noise, params, links)
+                cell_records += [_make_record(config, n, etas, *row) for row in zip(indices, params, c_in, c_out, f_out)]
+        for eta_label, _, _, cell_records in n_cells:
+            records.extend(cell_records)
+            cells.append(
+                {
+                    "n": n,
+                    "eta": eta_label,
+                    "samples": len(cell_records),
+                    "entangled": sum(1 for r in cell_records if r.entangled),
+                    "useful": sum(1 for r in cell_records if r.useful),
+                }
+            )
     summary = {
         "config_echo": config.to_dict(),
         "totals": {key: sum(cell[key] for cell in cells) for key in ("samples", "entangled", "useful")},

@@ -576,3 +576,75 @@ def test_closedform_end_state_matches_oracle(family):
             assert isinstance(closed, np.ndarray) and closed.shape == (4, 4)
             assert not closed.flags.writeable
             assert np.abs(closed - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family, engine", [("werner", "closedform"), ("bds", "closedform"), ("general", "oracle")])
+def test_each_sample_is_drawn_once_per_chain_length(monkeypatch, family, engine):
+    # a sample's links for one n serve all three eta cells of that n, which
+    # share the link objects; a sweep that redraws per cell makes 3x the calls
+    calls = [0]
+    draw = sweep_module.sample_state
+
+    def counting_draw(*args, **kwargs):
+        calls[0] += 1
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "sample_state", counting_draw)
+    count, ns, etas = 25, (1, 2, 3), [0.7, 0.9, 1.0]
+    config = SweepConfig(
+        family=family, sample_count=count, n_repeaters=[1, 3], eta_spec=etas,
+        seed=23, entangled_inputs_only=True, engine=engine,
+    )
+    records, summary = run_sweep(config)
+    assert calls[0] == count * sum(n + 1 for n in ns)
+    assert [(cell["n"], cell["eta"]) for cell in summary["cells"]] == [(n, eta) for n in ns for eta in etas]
+    cells = [records[k * count:(k + 1) * count] for k in range(len(ns) * len(etas))]
+    for k, cell in enumerate(cells):
+        first = cells[k - k % len(etas)]
+        assert all(r.link_params[j] is s.link_params[j] for r, s in zip(cell, first) for j in range(r.n + 1))
+
+
+def _record_fields(record):
+    """Every field of a record as plain values; general links as their Bloch arrays."""
+    links = [
+        (p.r.tolist(), p.s.tolist(), p.T.tolist()) if record.family == "general" else p
+        for p in record.link_params
+    ]
+    return (record.index, record.family, record.n, links, record.etas, record.c_in,
+            record.c_out, record.f_out, record.entangled, record.useful)
+
+
+@pytest.mark.parametrize("family, engine, swap_mode, count, entangled_inputs_only", [
+    ("werner", "closedform", "paper", 40, False),
+    ("bds", "closedform", "paper", 40, True),
+    ("general", "oracle", "paper", sweep_module.CHUNK_SIZE + 3, False),
+    ("general", "oracle", "povm", 30, True),
+    ("werner", "oracle", "paper", 30, True),
+    ("werner", "oracle", "povm", 30, False),
+    ("bds", "oracle", "paper", 30, False),
+    ("bds", "oracle", "povm", 30, True),
+])
+def test_multi_eta_cells_equal_single_eta_sweeps(tmp_path, family, engine, swap_mode, count, entangled_inputs_only):
+    # each (n, eta) cell of a multi-eta sweep is, field for field and as CSV
+    # bytes, the single-eta sweep of the same seed
+    etas = [0.6, 0.85, 1.0]
+    base = dict(
+        family=family, sample_count=count, n_repeaters=[1, 2], seed=31,
+        entangled_inputs_only=entangled_inputs_only, engine=engine, swap_mode=swap_mode,
+    )
+    records, summary = run_sweep(SweepConfig(**base, eta_spec=etas))
+    write_csv(records, tmp_path / "multi.csv")
+    expected_records, expected_lines, expected_cells = {}, {}, {}
+    for eta in etas:
+        single, single_summary = run_sweep(SweepConfig(**base, eta_spec=eta))
+        write_csv(single, tmp_path / "single.csv")
+        lines = (tmp_path / "single.csv").read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        for record, line in zip(single, lines, strict=True):
+            expected_records.setdefault((record.n, eta), []).append(_record_fields(record))
+            expected_lines.setdefault((record.n, eta), []).append(line)
+        expected_cells.update(((cell["n"], eta), cell) for cell in single_summary["cells"])
+    order = [(n, eta) for n in (1, 2) for eta in etas]
+    assert [_record_fields(r) for r in records] == [f for key in order for f in expected_records[key]]
+    body = (tmp_path / "multi.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+    assert body == "".join(line for key in order for line in expected_lines[key])
+    assert summary["cells"] == [expected_cells[key] for key in order]
