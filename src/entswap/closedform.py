@@ -7,6 +7,14 @@ n swaps scales its family parameters by prod eta_i / prod(4 - 3 eta_i).
 The product form is equivalent to the expansion over subsets of failed
 nodes (see :func:`subset_sum_normalization`) because
 4 - 3 eta = eta + 4 (1 - eta).
+
+The closed forms also take a stack of N chains that share their per-node
+success probabilities.  Its query holds one column per link position: an
+(N,) array of visibilities, or a BdsParams of (N,) correlation arrays.
+The result is an array of each chain's value.  A stack runs the same
+float operations as a single chain, in the same order, so each member
+equals its single-chain result bit for bit; a single chain still gives
+Python floats.
 """
 
 from __future__ import annotations
@@ -15,8 +23,10 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import DomainError
-from .measures import FLAG_MARGIN, concurrence_bds
+from .measures import FLAG_MARGIN, _positive_part, concurrence_bds
 from .states import BdsParams, check_visibility
 from .swap import NoiseModel
 
@@ -24,25 +34,49 @@ from .swap import NoiseModel
 UNBOUNDED = math.inf
 
 
+def _check_stack_shapes(columns) -> None:
+    """Raise DomainError unless the array columns of a stack share one shape."""
+    shapes = [column.shape for column in columns if isinstance(column, np.ndarray)]
+    if len(set(shapes)) > 1:
+        raise DomainError(f"the link columns of a stack must share one shape, got {shapes}")
+
+
 @dataclass(frozen=True)
 class WernerChainQuery:
-    """n+1 link visibilities plus n per-node success probabilities."""
+    """n+1 link visibilities plus n per-node success probabilities.
 
-    ps: tuple[float, ...]
+    Each visibility is a float, or for a stack of N chains a float array
+    of shape (N,) holding that link of every chain.
+    """
+
+    ps: tuple[float | np.ndarray, ...]
     etas: NoiseModel
 
     def __post_init__(self):
-        object.__setattr__(self, "ps", tuple(float(p) for p in self.ps))
+        ps = tuple(np.array(p, dtype=float) if isinstance(p, np.ndarray) else float(p) for p in self.ps)
+        object.__setattr__(self, "ps", ps)
         if not isinstance(self.etas, NoiseModel):
             object.__setattr__(self, "etas", NoiseModel(tuple(self.etas)))
-        self.etas.check_links(len(self.ps))
-        for p in self.ps:
-            check_visibility(p)
+        self.etas.check_links(len(ps))
+        _check_stack_shapes(ps)
+        for p in ps:
+            if isinstance(p, np.ndarray):
+                p.flags.writeable = False
+                # "not within [0, 1]" rather than "beyond it", so NaN fails too
+                outside = ~((0.0 <= p) & (p <= 1.0))
+                if outside.any():
+                    check_visibility(float(p[outside][0]))
+            else:
+                check_visibility(p)
 
 
 @dataclass(frozen=True)
 class BdsChainQuery:
-    """n+1 link correlation triples plus n per-node success probabilities."""
+    """n+1 link correlation triples plus n per-node success probabilities.
+
+    Each triple is a BdsParams, or for a stack of N chains a BdsParams of
+    (N,) arrays holding that link of every chain.
+    """
 
     ts: tuple[BdsParams, ...]
     etas: NoiseModel
@@ -56,6 +90,7 @@ class BdsChainQuery:
         if not isinstance(self.etas, NoiseModel):
             object.__setattr__(self, "etas", NoiseModel(tuple(self.etas)))
         self.etas.check_links(len(self.ts))
+        _check_stack_shapes([t.t1 for t in self.ts])
 
 
 def _node_scale(etas: NoiseModel) -> float:
@@ -65,7 +100,7 @@ def _node_scale(etas: NoiseModel) -> float:
     return scale
 
 
-def werner_final_visibility(query: WernerChainQuery) -> float:
+def werner_final_visibility(query: WernerChainQuery) -> float | np.ndarray:
     """Visibility surviving the chain: prod(p_i) scaled per node by eta/(4-3 eta)."""
     p = 1.0
     for pi in query.ps:
@@ -73,12 +108,12 @@ def werner_final_visibility(query: WernerChainQuery) -> float:
     return p * _node_scale(query.etas)
 
 
-def werner_chain_concurrence(query: WernerChainQuery) -> float:
+def werner_chain_concurrence(query: WernerChainQuery) -> float | np.ndarray:
     """End-to-end concurrence max(0, (3 p_final - 1)/2) of a Werner chain."""
-    return max(0.0, (3.0 * werner_final_visibility(query) - 1.0) / 2.0)
+    return _positive_part((3.0 * werner_final_visibility(query) - 1.0) / 2.0)
 
 
-def werner_chain_fidelity(query: WernerChainQuery) -> float:
+def werner_chain_fidelity(query: WernerChainQuery) -> float | np.ndarray:
     """End-to-end teleportation fidelity (1 + p_final)/2 of a Werner chain."""
     return (1.0 + werner_final_visibility(query)) / 2.0
 
@@ -100,12 +135,12 @@ def bds_final_correlations(query: BdsChainQuery) -> BdsParams:
     return BdsParams(scale * c1, scale * (-1.0) ** n * c2, scale * c3)
 
 
-def bds_chain_concurrence(query: BdsChainQuery) -> float:
+def bds_chain_concurrence(query: BdsChainQuery) -> float | np.ndarray:
     """End-to-end concurrence of a Bell-diagonal chain."""
     return concurrence_bds(bds_final_correlations(query))
 
 
-def bds_chain_fidelity(query: BdsChainQuery) -> float:
+def bds_chain_fidelity(query: BdsChainQuery) -> float | np.ndarray:
     """End-to-end teleportation fidelity of a Bell-diagonal chain."""
     c = bds_final_correlations(query)
     return (1.0 + (abs(c.t1) + abs(c.t2) + abs(c.t3)) / 3.0) / 2.0

@@ -65,14 +65,24 @@ def concurrence_werner(p: float) -> float:
     return max(0.0, (3.0 * p - 1.0) / 2.0)
 
 
-def concurrence_bds(params: BdsParams | tuple) -> float:
+def _positive_part(x):
+    """max(0.0, x) of a float; of a stack, each member's x where x > 0, else 0.0, the same rule."""
+    return np.where(x > 0.0, x, 0.0) if isinstance(x, np.ndarray) else max(0.0, x)
+
+
+def concurrence_bds(params: BdsParams | tuple) -> float | np.ndarray:
     """Closed-form concurrence of a Bell-diagonal state.
 
-    Equals max(0, 2 L - 1) with L the largest Bell-basis eigenvalue.
+    Equals max(0, 2 L - 1) with L the largest Bell-basis eigenvalue.  A
+    BdsParams stack gives an array of each member's value.
     """
     if not isinstance(params, BdsParams):
         params = BdsParams(*(float(t) for t in params))
-    return max(0.0, 2.0 * max(params.eigenvalues()) - 1.0)
+    lam = params.eigenvalues()
+    # one triple stays on Python floats with no helper call: sampling calls this once per draw
+    stack = isinstance(params.t1, np.ndarray)
+    c = 2.0 * (np.maximum.reduce(lam) if stack else max(lam)) - 1.0
+    return _positive_part(c) if stack else max(0.0, c)
 
 
 def teleportation_fidelity(state) -> float | np.ndarray:

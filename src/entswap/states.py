@@ -170,14 +170,19 @@ class BdsParams:
     """Correlation triple (t1, t2, t3) of a Bell-diagonal state.
 
     Valid triples are the points of the tetrahedron whose four vertex
-    weights (the Bell-basis eigenvalues) are all non-negative.
+    weights (the Bell-basis eigenvalues) are all non-negative.  Three
+    float arrays of one shape make a stack of triples, one per entry,
+    each member checked alike; the arrays are copied read-only.
     """
 
-    t1: float
-    t2: float
-    t3: float
+    t1: float | np.ndarray
+    t2: float | np.ndarray
+    t3: float | np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.t1, np.ndarray):
+            self._check_stack()
+            return
         if not all(math.isfinite(t) for t in self.as_tuple()):
             raise InvalidParametersError(f"correlations {self.as_tuple()} must be finite")
         smallest = min(self.eigenvalues())
@@ -187,17 +192,32 @@ class BdsParams:
                 f"(eigenvalue {smallest:.12g} < 0)"
             )
 
+    def _check_stack(self) -> None:
+        columns = [np.array(t, dtype=float) for t in self.as_tuple()]
+        if not all(isinstance(t, np.ndarray) for t in self.as_tuple()) or len({c.shape for c in columns}) > 1:
+            raise InvalidParametersError("a stack of correlation triples needs three arrays of one shape")
+        for column, name in zip(columns, ("t1", "t2", "t3")):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        # finiteness first: an inf - inf in the eigenvalues would warn
+        bad = ~np.isfinite(columns).all(axis=0)
+        if not bad.any():
+            bad = np.minimum.reduce(self.eigenvalues()) < -PSD_TOL
+        if bad.any():
+            # the first bad member, as one triple, raises the error it raises alone
+            BdsParams(*(float(c.flat[np.flatnonzero(bad)[0]]) for c in columns))
+
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.t1, self.t2, self.t3)
 
     def eigenvalues(self) -> tuple[float, float, float, float]:
-        """The four Bell-basis eigenvalues of the state."""
+        """The four Bell-basis eigenvalues of the state (of each member of a stack)."""
         t1, t2, t3 = self.t1, self.t2, self.t3
         return (
-            (1 - t1 - t2 - t3) / 4,
-            (1 - t1 + t2 + t3) / 4,
-            (1 + t1 - t2 + t3) / 4,
-            (1 + t1 + t2 - t3) / 4,
+            (1.0 - t1 - t2 - t3) / 4.0,
+            (1.0 - t1 + t2 + t3) / 4.0,
+            (1.0 + t1 - t2 + t3) / 4.0,
+            (1.0 + t1 + t2 - t3) / 4.0,
         )
 
 

@@ -15,13 +15,15 @@ on the closedform engine it also builds the end-to-end state, which sweeps
 never read.  Each (sample, n) is drawn or enumerated once and serves every
 eta cell of that n, whose records share its link objects; a sample is
 drawn again for each n.  Werner and Bell-diagonal links are kept as their
-family parameters, which is all the closedform engine reads; the oracle
-builds their dense links when it stacks them.  General links are drawn as
-dense states, stacked, and their input concurrences taken once per stack
-for every eta cell of its n.  The closedform engine evaluates a stack
-chain by chain; the oracle runs every swap step, the validation of the
-end-to-end states and their measures once per stack and cell, with the
-samples on a leading axis.  Each cell builds its noise model once, and a
+family parameters.  Each stack is built once for every eta cell of its n,
+in the form its engine reads: the closedform engine one column of
+parameters per link position, the oracle the dense links (built from
+the parameters for Werner and Bell-diagonal links; general links are
+drawn dense, and their input concurrences are taken once per stack).
+The closedform engine calls each closed form once per stack and cell;
+the oracle runs every swap step, the validation of the end-to-end states
+and their measures once per stack and cell, with the samples on a
+leading axis.  Each cell builds its noise model once, and a
 grid builds its axis once per n: one link object and one input
 concurrence per axis value, shared by every record of that n.  Records
 are slotted.  write_csv formats each distinct link object and etas tuple
@@ -283,7 +285,8 @@ def evaluate_chain(family: str, engine: str, swap_mode: str, link_params, etas):
     triple (-p, -p, -p).
     """
     noise = NoiseModel(tuple(etas))
-    c_out, f_out, final = _evaluate_chains(family, engine, swap_mode, noise, [link_params], None)
+    links = _link_stack(family, engine, [link_params], None)
+    c_out, f_out, final = _evaluate_chains(family, engine, swap_mode, noise, links)
     if final is not None:
         return float(c_out[0]), float(f_out[0]), final[0]
     ts = tuple(BdsParams(-p.p, -p.p, -p.p) for p in link_params) if family == "werner" else tuple(link_params)
@@ -291,32 +294,48 @@ def evaluate_chain(family: str, engine: str, swap_mode: str, link_params, etas):
     return float(c_out[0]), float(f_out[0]), state.matrix
 
 
-def _evaluate_chains(family: str, engine: str, swap_mode: str, noise: NoiseModel, params, links):
-    """(c_out, f_out, final) of a stack of chains of one length, one entry per chain.
+def _evaluate_chains(family: str, engine: str, swap_mode: str, noise: NoiseModel, links):
+    """(c_out, f_out, final) of a stack of N chains of one length, one entry per chain.
 
-    ``params[j]`` holds the j-th chain's link parameters.  ``links`` is the
-    (n+1, N, 4, 4) stack of drawn general links, read only for the general
-    family; the oracle builds Werner and BDS links from their parameters.
-    ``final`` is the (N, 4, 4) stack of validated end-to-end matrices, or
-    None on the closedform engine.
+    ``links`` is the stack that :func:`_link_stack` builds for the engine.
+    The closedform engine makes one call of each closed form on the whole
+    stack; the oracle runs every swap step on the whole stack.  ``final``
+    is the (N, 4, 4) stack of validated end-to-end matrices, or None on
+    the closedform engine.
     """
     if engine == "closedform":
         if family == "werner":
-            queries = [WernerChainQuery(tuple(p.p for p in chain), noise) for chain in params]
-            return [werner_chain_concurrence(q) for q in queries], [werner_chain_fidelity(q) for q in queries], None
-        queries = [BdsChainQuery(tuple(chain), noise) for chain in params]
-        return [bds_chain_concurrence(q) for q in queries], [bds_chain_fidelity(q) for q in queries], None
-    if family != "general":
-        maker = make_werner if family == "werner" else make_bell_diagonal
-        links = _link_stack([[maker(p) for p in chain] for chain in params])
+            query = WernerChainQuery(links, noise)
+            c_out, f_out = werner_chain_concurrence(query), werner_chain_fidelity(query)
+        else:
+            query = BdsChainQuery(links, noise)
+            c_out, f_out = bds_chain_concurrence(query), bds_chain_fidelity(query)
+        # each zero as the one 0.0 that max(0.0, c) gives a single chain: records keep these floats
+        return [c or 0.0 for c in c_out.tolist()], f_out.tolist(), None
     _check_chain(noise, len(links))
-    final = _checked_density_matrix(_chain_matrices(links, noise, swap_mode), (len(params), 4, 4), "two-qubit state")
+    final = _checked_density_matrix(_chain_matrices(links, noise, swap_mode), links.shape[1:], "two-qubit state")
     return concurrence(final), teleportation_fidelity(final), final
 
 
-def _link_stack(chains) -> np.ndarray:
-    """The links of equally long chains as one (n+1, N, 4, 4) array: [k, j] is chain j's k-th link."""
-    return np.array([[state.matrix for state in column] for column in zip(*chains)])
+def _link_stack(family: str, engine: str, params, states):
+    """What the engine reads of N equally long chains, built once for every eta cell.
+
+    ``params[j]`` holds chain j's link parameters and ``states[j]`` its
+    drawn dense links, read only for the general family.  The closedform
+    engine reads one column per link position: an (N,) array of
+    visibilities, or a BdsParams of (N,) correlation arrays.  The oracle
+    reads the (n+1, N, 4, 4) stack of dense links, [k, j] being chain j's
+    k-th link; it builds Werner and BDS links from their parameters.
+    """
+    if engine == "closedform":
+        columns = zip(*params)
+        if family == "werner":
+            return tuple(np.array([p.p for p in column]) for column in columns)
+        return tuple(BdsParams(*np.array([t.as_tuple() for t in column]).T) for column in columns)
+    if family != "general":
+        maker = make_werner if family == "werner" else make_bell_diagonal
+        states = [[maker(p) for p in chain] for chain in params]
+    return np.array([[state.matrix for state in column] for column in zip(*states)])
 
 
 def input_concurrences(family: str, link_params) -> tuple[float, ...]:
@@ -418,12 +437,11 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
         while chunk := list(islice(samples, CHUNK_SIZE)):
             indices, sampled = zip(*chunk)
             params, states, c_in = zip(*sampled)
-            links = None
+            links = _link_stack(config.family, config.engine, params, states)
             if config.family == "general":
-                links = _link_stack(states)
                 c_in = concurrence(links).T.tolist()
             for _, etas, noise, cell_records in n_cells:
-                c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noise, params, links)
+                c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noise, links)
                 cell_records += [_make_record(config, n, etas, *row) for row in zip(indices, params, c_in, c_out, f_out)]
         for eta_label, _, _, cell_records in n_cells:
             records.extend(cell_records)

@@ -9,6 +9,8 @@ from entswap import (
     BdsParams,
     ChainSpec,
     DomainError,
+    EntswapError,
+    InvalidParametersError,
     NoiseModel,
     WernerChainQuery,
     bds_chain_concurrence,
@@ -311,3 +313,51 @@ def test_concurrence_monotonicity():
 
 def test_unbounded_sentinel_is_infinite():
     assert math.isinf(UNBOUNDED)
+
+
+def _raised(build):
+    """The EntswapError subclass that build() raises."""
+    with pytest.raises(EntswapError) as info:
+        build()
+    return type(info.value)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, NAN])
+def test_stacked_werner_query_rejects_what_a_single_chain_rejects(bad):
+    # the bad visibility sits in the last member of the second column
+    scalar = _raised(lambda: wq((0.5, bad), (0.9,)))
+    stacked = _raised(lambda: wq((np.array([0.5, 0.6, 0.7]), np.array([0.5, 0.6, bad])), (0.9,)))
+    assert scalar is stacked is DomainError
+
+
+@pytest.mark.parametrize("bad", [(1.0, 1.0, 1.0), (NAN, 0.0, 0.0), (0.0, math.inf, 0.0)])
+def test_stacked_bds_query_rejects_what_a_single_chain_rejects(bad):
+    # (1, 1, 1) lies outside the tetrahedron; NaN and inf are not numbers in it
+    good = (0.3, -0.2, 0.1)
+    scalar = _raised(lambda: bq([good, bad], (0.9,)))
+    # the column holding the bad triple rejects it, as the query's own BdsParams does for one chain
+    columns = ([good, good], [good, bad])
+    stacked = _raised(lambda: BdsChainQuery(tuple(BdsParams(*np.array(c).T) for c in columns), NoiseModel((0.9,))))
+    assert scalar is stacked is InvalidParametersError
+
+
+def test_stacked_queries_reject_a_wrong_link_count():
+    column = np.array([0.5, 0.9])
+    assert _raised(lambda: wq((0.5, 0.5), (0.9, 0.9))) is _raised(lambda: wq((column, column), (0.9, 0.9)))
+    triples = BdsParams(column, -column, column)
+    assert _raised(lambda: bq([(0, 0, 0)], (0.5,))) is _raised(
+        lambda: BdsChainQuery((triples,), NoiseModel((0.5,)))
+    ) is DomainError
+
+
+def test_stacked_queries_reject_columns_of_different_lengths():
+    with pytest.raises(DomainError):
+        wq((np.array([0.5, 0.6]), np.array([0.5, 0.6, 0.7])), (0.9,))
+    short, long = np.zeros(2), np.zeros(3)
+    with pytest.raises(DomainError):
+        BdsChainQuery((BdsParams(short, short, short), BdsParams(long, long, long)), NoiseModel((0.9,)))
+    with pytest.raises(InvalidParametersError):
+        BdsParams(short, short, long)

@@ -16,23 +16,33 @@ evaluates chains left to right.
 
 A sweep evaluates its chains as stacks with the samples on a leading
 axis.  Every stacked result must equal, bit for bit, the single call on
-each member.
+each member.  The closed forms take stacks too, one float column per link
+position, and each member must equal its single-chain float.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entswap import (
+    BdsChainQuery,
+    BdsParams,
     ChainSpec,
     NoiseModel,
     TwoQubitState,
+    WernerChainQuery,
+    bds_chain_concurrence,
+    bds_chain_fidelity,
+    bds_final_correlations,
     chain_swap,
     concurrence,
     swap_once,
     swap_once_perfect,
     swap_once_povm,
     teleportation_fidelity,
+    werner_chain_concurrence,
+    werner_chain_fidelity,
 )
 from entswap.states import PAULI, _checked_density_matrix
 from entswap.swap import _chain_matrices
@@ -179,3 +189,61 @@ def test_stacked_evaluation_equals_single_calls_bit_for_bit(chain, mode):
     checked = _checked_density_matrix(stack, stack.shape, "two-qubit state")
     assert np.array_equal(checked.reshape(-1, 4, 4), [TwoQubitState(m).matrix for m in stack.reshape(-1, 4, 4)])
     assert np.linalg.eigvalsh(checked[-1, -1])[0] >= -1e-15
+
+
+# edge values beside arbitrary ones: the eta threshold 2/3 and both ends,
+# the visibility threshold 1/3 and both ends, the tetrahedron's vertices
+# (the Bell states) and its centre
+ETAS = st.sampled_from([0.0, 2.0 / 3.0, 1.0]) | st.floats(0.0, 1.0)
+VISIBILITIES = st.sampled_from([0.0, 1.0 / 3.0, 1.0]) | st.floats(0.0, 1.0)
+_VERTICES = np.array([(1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, -1.0, -1.0)])
+
+
+@st.composite
+def tetrahedron_points(draw):
+    """A vertex, the centre, or a convex combination of the four vertices."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.0))
+    point = (np.array(weights) / sum(weights)) @ _VERTICES
+    special = st.sampled_from([tuple(v) for v in _VERTICES.tolist()] + [(0.0, 0.0, 0.0), (-1 / 3, -1 / 3, -1 / 3)])
+    return draw(special | st.just(tuple(point.tolist())))
+
+
+def _stack(draw, values, n):
+    """(rows, etas): rows[j] holds chain j's n + 1 links, for 1..4 chains."""
+    count = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(values, min_size=n + 1, max_size=n + 1), min_size=count, max_size=count))
+    return rows, draw(st.lists(ETAS, min_size=n, max_size=n))
+
+
+def _assert_members_equal(stacked, singles):
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (len(singles),)
+    assert all(type(value) is float for value in singles)
+    assert stacked.tolist() == singles
+    assert np.array_equal(np.signbit(stacked), np.signbit(singles))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_stacked_werner_closed_forms_equal_single_chains(n, data):
+    rows, etas = _stack(data.draw, VISIBILITIES, n)
+    columns = tuple(np.array(column) for column in zip(*rows))
+    query = WernerChainQuery(columns, NoiseModel(tuple(etas)))
+    singles = [WernerChainQuery(tuple(row), NoiseModel(tuple(etas))) for row in rows]
+    _assert_members_equal(werner_chain_concurrence(query), [werner_chain_concurrence(q) for q in singles])
+    _assert_members_equal(werner_chain_fidelity(query), [werner_chain_fidelity(q) for q in singles])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_stacked_bds_closed_forms_equal_single_chains(n, data):
+    rows, etas = _stack(data.draw, tetrahedron_points(), n)
+    columns = tuple(BdsParams(*np.array(column).T) for column in zip(*rows))
+    query = BdsChainQuery(columns, NoiseModel(tuple(etas)))
+    singles = [BdsChainQuery(tuple(BdsParams(*t) for t in row), NoiseModel(tuple(etas))) for row in rows]
+    _assert_members_equal(bds_chain_concurrence(query), [bds_chain_concurrence(q) for q in singles])
+    _assert_members_equal(bds_chain_fidelity(query), [bds_chain_fidelity(q) for q in singles])
+    stacked = bds_final_correlations(query).as_tuple()
+    for k, component in enumerate(stacked):
+        _assert_members_equal(component, [bds_final_correlations(q).as_tuple()[k] for q in singles])

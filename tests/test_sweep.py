@@ -648,3 +648,59 @@ def test_multi_eta_cells_equal_single_eta_sweeps(tmp_path, family, engine, swap_
     body = (tmp_path / "multi.csv").read_text(encoding="utf-8").split("\n", 1)[1]
     assert body == "".join(line for key in order for line in expected_lines[key])
     assert summary["cells"] == [expected_cells[key] for key in order]
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+def test_oracle_sweeps_build_each_dense_link_once(monkeypatch, family):
+    # every eta cell of an n reads the chunk's one stack of dense links; a
+    # sweep that builds them per cell makes 3x the calls
+    name = {"werner": "make_werner", "bds": "make_bell_diagonal"}[family]
+    calls = [0]
+    make = getattr(sweep_module, name)
+
+    def counting_make(*args, **kwargs):
+        calls[0] += 1
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, name, counting_make)
+    count, ns = 20, (1, 2, 3)
+    config = SweepConfig(
+        family=family, sample_count=count, n_repeaters=[1, 3], eta_spec=[0.7, 0.9, 1.0],
+        seed=29, engine="oracle",
+    )
+    records, _ = run_sweep(config)
+    assert len(records) == 3 * count * len(ns)
+    assert calls[0] == count * sum(n + 1 for n in ns)
+
+
+@pytest.mark.parametrize("family, mode", [("werner", "grid"), ("bds", "random")])
+def test_closedform_sweeps_call_each_closed_form_once_per_chunk_and_cell(monkeypatch, family, mode):
+    # the closed forms take the whole chunk as one stack: one call per
+    # (chunk, eta cell), never one per record
+    calls = {}
+
+    def counting(name):
+        closed_form = getattr(sweep_module, name)
+
+        def wrapper(query):
+            calls[name] = calls.get(name, 0) + 1
+            return closed_form(query)
+
+        return wrapper
+
+    names = [f"{family}_chain_concurrence", f"{family}_chain_fidelity"]
+    for name in names:
+        monkeypatch.setattr(sweep_module, name, counting(name))
+    etas = [0.8, 1.0]
+    if mode == "grid":
+        # 6**2, 6**3 and 6**4 records per cell: one, one and two chunks
+        config = SweepConfig(family=family, mode="grid", grid_steps=6, n_repeaters=[1, 3], eta_spec=etas)
+        per_cell = [6 ** (n + 1) for n in (1, 2, 3)]
+    else:
+        count = sweep_module.CHUNK_SIZE + 5
+        config = SweepConfig(family=family, sample_count=count, n_repeaters=[1, 2], eta_spec=etas, seed=3)
+        per_cell = [count, count]
+    records, _ = run_sweep(config)
+    assert len(records) == len(etas) * sum(per_cell)
+    chunks = sum(math.ceil(size / sweep_module.CHUNK_SIZE) for size in per_cell)
+    assert calls == {name: chunks * len(etas) for name in names}
