@@ -50,22 +50,18 @@ def _parse_triples(text: str) -> list[BdsParams]:
         if len(values) != 3:
             raise ConfigError(f"--t expects exactly three numbers per group, got {group!r}")
         triples.append(BdsParams(*values))
-    if not triples:
-        raise ConfigError("--t received no triples")
     return triples
 
 
 def _parse_links(args) -> list:
-    """Per-family link parameters, in chain order."""
+    """Per-family link parameters, in chain order; argparse admits only werner and bds."""
     if args.family == "werner":
         if args.p is None:
             raise ConfigError("--family werner requires --p")
         return [WernerParams(p) for p in _parse_floats(args.p, "--p")]
-    if args.family == "bds":
-        if args.t is None:
-            raise ConfigError("--family bds requires --t")
-        return _parse_triples(args.t)
-    raise ConfigError(f"unsupported family {args.family!r}; use werner or bds")
+    if args.t is None:
+        raise ConfigError("--family bds requires --t")
+    return _parse_triples(args.t)
 
 
 def _bloch_json(state) -> dict:

@@ -15,12 +15,16 @@ The result is an array of each chain's value.  A stack runs the same
 float operations as a single chain, in the same order, so each member
 equals its single-chain result bit for bit; a single chain still gives
 Python floats.
+
+A query computes its surviving parameters once, as its ``final``; the
+concurrence and fidelity of that query both read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -69,6 +73,14 @@ class WernerChainQuery:
             else:
                 check_visibility(p)
 
+    @cached_property
+    def final(self) -> float | np.ndarray:
+        """Visibility surviving the chain: prod(p_i) scaled per node by eta/(4-3 eta)."""
+        p = 1.0
+        for pi in self.ps:
+            p *= pi
+        return p * _node_scale(self.etas)
+
 
 @dataclass(frozen=True)
 class BdsChainQuery:
@@ -92,6 +104,23 @@ class BdsChainQuery:
         self.etas.check_links(len(self.ts))
         _check_stack_shapes([t.t1 for t in self.ts])
 
+    @cached_property
+    def final(self) -> BdsParams:
+        """Correlation triple surviving the chain.
+
+        Component-wise products of the link triples, with the middle
+        component picking up one sign per swap, all scaled by the per-node
+        noise factor: (scale prod t1, scale (-1)^n prod t2, scale prod t3).
+        """
+        n = len(self.etas)
+        scale = _node_scale(self.etas)
+        c1 = c2 = c3 = 1.0
+        for t in self.ts:
+            c1 *= t.t1
+            c2 *= t.t2
+            c3 *= t.t3
+        return BdsParams(scale * c1, scale * (-1.0) ** n * c2, scale * c3)
+
 
 def _node_scale(etas: NoiseModel) -> float:
     scale = 1.0
@@ -101,48 +130,33 @@ def _node_scale(etas: NoiseModel) -> float:
 
 
 def werner_final_visibility(query: WernerChainQuery) -> float | np.ndarray:
-    """Visibility surviving the chain: prod(p_i) scaled per node by eta/(4-3 eta)."""
-    p = 1.0
-    for pi in query.ps:
-        p *= pi
-    return p * _node_scale(query.etas)
+    """Visibility surviving the chain (the query's cached ``final``)."""
+    return query.final
 
 
 def werner_chain_concurrence(query: WernerChainQuery) -> float | np.ndarray:
     """End-to-end concurrence max(0, (3 p_final - 1)/2) of a Werner chain."""
-    return _positive_part((3.0 * werner_final_visibility(query) - 1.0) / 2.0)
+    return _positive_part((3.0 * query.final - 1.0) / 2.0)
 
 
 def werner_chain_fidelity(query: WernerChainQuery) -> float | np.ndarray:
     """End-to-end teleportation fidelity (1 + p_final)/2 of a Werner chain."""
-    return (1.0 + werner_final_visibility(query)) / 2.0
+    return (1.0 + query.final) / 2.0
 
 
 def bds_final_correlations(query: BdsChainQuery) -> BdsParams:
-    """Correlation triple surviving a Bell-diagonal chain.
-
-    Component-wise products of the link triples, with the middle component
-    picking up one sign per swap, all scaled by the per-node noise factor:
-    (scale prod t1, scale (-1)^n prod t2, scale prod t3).
-    """
-    n = len(query.etas)
-    scale = _node_scale(query.etas)
-    c1 = c2 = c3 = 1.0
-    for t in query.ts:
-        c1 *= t.t1
-        c2 *= t.t2
-        c3 *= t.t3
-    return BdsParams(scale * c1, scale * (-1.0) ** n * c2, scale * c3)
+    """Correlation triple surviving a Bell-diagonal chain (the query's cached ``final``)."""
+    return query.final
 
 
 def bds_chain_concurrence(query: BdsChainQuery) -> float | np.ndarray:
     """End-to-end concurrence of a Bell-diagonal chain."""
-    return concurrence_bds(bds_final_correlations(query))
+    return concurrence_bds(query.final)
 
 
 def bds_chain_fidelity(query: BdsChainQuery) -> float | np.ndarray:
     """End-to-end teleportation fidelity of a Bell-diagonal chain."""
-    c = bds_final_correlations(query)
+    c = query.final
     return (1.0 + (abs(c.t1) + abs(c.t2) + abs(c.t3)) / 3.0) / 2.0
 
 

@@ -285,3 +285,28 @@ def test_validate_accepts_seed_beyond_64_bits(capsys):
     code, payload = run_json(capsys, ["validate", "--samples", "5", "--seed", str(2**64)])
     assert code == 0
     assert payload["seed"] == 2**64
+
+
+def test_validate_runs_one_sample(capsys):
+    code, payload = run_json(capsys, ["validate", "--samples", "1"])
+    assert code == 0
+    assert payload["samples"] == 1
+    assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("case", ["bad-number", "bds-without-t", "config-list"])
+def test_bad_input_is_reported_on_stderr_only(tmp_path, capsys, case):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([{"family": "werner", "sample_count": 5}]), encoding="utf-8")
+    sweep_argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out.csv"),
+                  "--summary", str(tmp_path / "summary.json")]
+    argv, message = {
+        "bad-number": (["chain", "--family", "werner", "--p", "0.9,abc", "--etas", "0.9"], "--p expects"),
+        "bds-without-t": (["swap", "--family", "bds"], "--family bds requires --t"),
+        "config-list": (sweep_argv, "must be a JSON object"),
+    }[case]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]

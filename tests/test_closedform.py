@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entswap import closedform as closedform_module
 from entswap import (
     UNBOUNDED,
     BdsChainQuery,
@@ -361,3 +362,42 @@ def test_stacked_queries_reject_columns_of_different_lengths():
         BdsChainQuery((BdsParams(short, short, short), BdsParams(long, long, long)), NoiseModel((0.9,)))
     with pytest.raises(InvalidParametersError):
         BdsParams(short, short, long)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.9])
+def test_max_entangled_swaps_just_above_the_visibility_threshold(eta):
+    # one ulp above 1/3 the first swap already loses the entanglement, whatever eta
+    assert max_entangled_swaps(eta, math.nextafter(1.0 / 3.0, 1.0)) == 0
+
+
+_COLUMN = np.array([0.9, 0.6, 0.35])
+_FINAL_ONCE_QUERIES = {
+    "werner-single": lambda: wq((0.9, 0.8, 0.7), (0.9, 0.95)),
+    "werner-stacked": lambda: wq((_COLUMN,) * 3, (0.9, 0.95)),
+    "bds-single": lambda: bq([(0.5, -0.3, 0.2)] * 3, (0.9, 0.95)),
+    "bds-stacked": lambda: BdsChainQuery((BdsParams(_COLUMN, -_COLUMN, _COLUMN),) * 3, NoiseModel((0.9, 0.95))),
+}
+_CLOSED_FORMS = {
+    "werner": (werner_final_visibility, werner_chain_concurrence, werner_chain_fidelity),
+    "bds": (bds_final_correlations, bds_chain_concurrence, bds_chain_fidelity),
+}
+
+
+@pytest.mark.parametrize("case", list(_FINAL_ONCE_QUERIES))
+def test_a_query_computes_its_final_once(monkeypatch, case):
+    # C, F and the final parameters of one query all read one computation of them
+    query = _FINAL_ONCE_QUERIES[case]()
+    final_of, concurrence_of, fidelity_of = _CLOSED_FORMS[case.split("-")[0]]
+    calls = []
+    node_scale = closedform_module._node_scale
+
+    def counting(etas):
+        calls.append(etas)
+        return node_scale(etas)
+
+    monkeypatch.setattr(closedform_module, "_node_scale", counting)
+    first = final_of(query)
+    concurrence_of(query)
+    fidelity_of(query)
+    assert final_of(query) is first
+    assert len(calls) == 1

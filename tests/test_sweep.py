@@ -704,3 +704,33 @@ def test_closedform_sweeps_call_each_closed_form_once_per_chunk_and_cell(monkeyp
     assert len(records) == len(etas) * sum(per_cell)
     chunks = sum(math.ceil(size / sweep_module.CHUNK_SIZE) for size in per_cell)
     assert calls == {name: chunks * len(etas) for name in names}
+
+
+@pytest.mark.parametrize("config", [
+    # 2/6 == 1/3 exactly, so the grid's axis holds the separable boundary visibility
+    dict(family="werner", mode="grid", grid_steps=6, n_repeaters=[1, 2]),
+    dict(family="bds", mode="grid", grid_steps=4),
+    dict(family="bds", sample_count=200, seed=3),
+    dict(family="general", sample_count=100, seed=3, engine="oracle"),
+], ids=["werner-grid", "bds-grid", "bds-random", "general-random"])
+def test_entangled_inputs_only_keeps_only_entangled_links(config):
+    records, _ = run_sweep(SweepConfig(entangled_inputs_only=True, **config))
+    assert records
+    assert all(r.c_in_min > 0 for r in records)
+
+
+@pytest.mark.parametrize("family, count", [("werner", 1), ("bds", 4)])
+def test_one_step_grids_run(family, count):
+    # a werner axis of one visibility (1.0); the bds axis {-1, 1} keeps the tetrahedron's four vertices
+    records, summary = run_sweep(SweepConfig(family=family, mode="grid", grid_steps=1))
+    assert len(records) == summary["totals"]["samples"] == count
+    assert {r.n for r in records} == {1}
+
+
+def test_closedform_grid_zeros_share_one_float():
+    config = SweepConfig(family="werner", mode="grid", grid_steps=6, n_repeaters=[1, 2], eta_spec=[0.8, 1.0])
+    records, _ = run_sweep(config)
+    zeros = [r.c_out for r in records if r.c_out == 0.0]
+    assert len(zeros) > 100
+    assert len({id(c) for c in zeros}) == 1
+    assert math.copysign(1.0, zeros[0]) == 1.0
