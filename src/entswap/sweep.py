@@ -17,7 +17,6 @@ ENTSWAP_THREADS must be an integer if set, but it selects nothing.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -454,40 +453,75 @@ def _format_link(family: str, params) -> str:
     return "(" + ",".join(_fmt(v) for v in values) + ")"
 
 
+#: Entries a write_csv memo holds before it starts afresh: above the about
+#: 4100 distinct floats of an 18-step Werner grid of n = 1-3 (1.1e5 records),
+#: and a bound of a few MiB on a random sweep, whose values rarely repeat.
+_MEMO_ENTRIES = 8192
+
+
+class _FloatTexts(dict):
+    """%.12g text of each non-zero float, keyed by value and formatted on first use.
+
+    Zeros are never stored: 0.0 == -0.0, but they print as 0 and -0.  The
+    memo starts afresh when it reaches _MEMO_ENTRIES entries.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value) -> str:
+        text = _fmt(value)
+        if value:
+            if len(self) >= _MEMO_ENTRIES:
+                self.clear()
+            self[value] = text
+        return text
+
+
 def write_csv(records, path) -> None:
     """Write records with the fixed 11-column schema; UTF-8, LF, %.12g.
 
-    Each distinct link object and etas tuple is formatted once per call.
-    The memo is keyed by id, never by value (0.0 and -0.0 are equal but
-    print differently); each entry holds its object, so the id cannot be
-    reused while the memo lives, and the memo dies with the call.
+    ``records`` is read once, so it may be an iterator.  Each row is one
+    string, built from two memos that live for the call:
+    - each distinct link object and etas tuple is formatted once, keyed by
+      id, never by value (0.0 and -0.0 are equal but print differently);
+      the memo holds every object it formatted, so no id is reused while
+      it lives;
+    - each distinct non-zero c_in_min, c_in_prod, c_out and f_out value
+      is formatted once (see _FloatTexts).
+    A memo that reaches _MEMO_ENTRIES entries starts afresh, so the
+    writer's memory does not grow with the number of records.  Quoting is
+    the csv module's QUOTE_MINIMAL (RFC 4180): %.12g text never holds a
+    quote, CR or LF, so a field is quoted exactly when it holds a comma,
+    which only a Bell-diagonal or general link field does.
     """
-    texts: dict[int, tuple[object, str]] = {}
-
-    def text(obj, format_, *args) -> str:
-        entry = texts.get(id(obj))
-        if entry is None:
-            entry = texts[id(obj)] = (obj, format_(*args, obj))
-        return entry[1]
-
+    floats = _FloatTexts()
+    texts: dict[int, str] = {}
+    kept = []
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
+        fh.write(CSV_HEADER + "\n")
         for r in records:
-            writer.writerow(
-                [
-                    str(r.index),
-                    r.family,
-                    str(r.n),
-                    ";".join([text(p, _format_link, r.family) for p in r.link_params]),
-                    text(r.etas, _format_etas),
-                    _fmt(r.c_in_min),
-                    _fmt(r.c_in_prod),
-                    _fmt(r.c_out),
-                    _fmt(r.f_out),
-                    "true" if r.entangled else "false",
-                    "true" if r.useful else "false",
-                ]
+            try:
+                link = ";".join([texts[id(p)] for p in r.link_params])
+                etas = texts[id(r.etas)]
+            except KeyError:
+                if len(texts) >= _MEMO_ENTRIES:
+                    texts.clear()
+                    kept.clear()
+                for p in r.link_params:
+                    if id(p) not in texts:
+                        kept.append(p)
+                        texts[id(p)] = _format_link(r.family, p)
+                if id(r.etas) not in texts:
+                    kept.append(r.etas)
+                    texts[id(r.etas)] = _format_etas(r.etas)
+                link = ";".join([texts[id(p)] for p in r.link_params])
+                etas = texts[id(r.etas)]
+            if "," in link:
+                link = f'"{link}"'
+            fh.write(
+                f"{r.index},{r.family},{r.n},{link},{etas},{floats[r.c_in_min]},{floats[r.c_in_prod]},"
+                f"{floats[r.c_out]},{floats[r.f_out]},{'true' if r.entangled else 'false'},"
+                f"{'true' if r.useful else 'false'}\n"
             )
 
 

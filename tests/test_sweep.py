@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -7,9 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from entswap import (
     CSV_HEADER,
+    BdsParams,
+    BlochForm,
     ChainSpec,
     ConfigError,
     EntswapError,
@@ -342,6 +347,18 @@ def _naive_csv(records) -> str:
     return out.getvalue()
 
 
+def _first_wrong_row(path, records):
+    """The first row of the file at ``path`` that differs from _naive_csv(records), or None.
+
+    A failing check then reports one row, not pytest's diff of two whole files.
+    """
+    written = path.read_text(encoding="utf-8").split("\n")
+    expected = _naive_csv(records).split("\n")
+    if len(written) != len(expected):
+        return f"{len(written)} lines, expected {len(expected)}"
+    return next(((k, a, b) for k, (a, b) in enumerate(zip(written, expected)) if a != b), None)
+
+
 @pytest.mark.parametrize("config", [
     SweepConfig(family="werner", mode="grid", grid_steps=4, n_repeaters=[1, 2], eta_spec=[0.8, 1.0]),
     SweepConfig(family="bds", mode="grid", grid_steps=4, n_repeaters=2, eta_spec=[[0.9, 0.7]],
@@ -384,6 +401,115 @@ def test_werner_grid_records_stay_small():
         tracemalloc.stop()
     assert len(records) == 10**4
     assert retained / len(records) < 500
+
+
+@pytest.mark.parametrize("config", [
+    SweepConfig(family="werner", sample_count=30, n_repeaters=[1, 3], eta_spec=[0.7, 1.0], seed=4),
+    SweepConfig(family="bds", sample_count=30, n_repeaters=[1, 2], eta_spec=[0.6, 0.8, 1.0], seed=4),
+    SweepConfig(family="bds", sample_count=sweep_module.CHUNK_SIZE + 6, n_repeaters=1, eta_spec=0.9, seed=8,
+                entangled_inputs_only=True),
+], ids=["werner-random", "bds-random-3-etas", "bds-across-chunks"])
+def test_csv_matches_csv_writer(tmp_path, config):
+    # _naive_csv quotes through csv.writer; write_csv builds each row as one string
+    records, _ = run_sweep(config)
+    etas = config.eta_spec if isinstance(config.eta_spec, list) else [config.eta_spec]
+    # every eta cell of an n shares the n's link objects
+    assert len({id(p) for r in records for p in r.link_params}) * len(etas) == sum(r.n + 1 for r in records)
+    path = tmp_path / "sweep.csv"
+    write_csv(records, path)
+    assert _first_wrong_row(path, records) is None
+
+
+# zeros of both signs, subnormals and values near 1e+-300, beside ordinary floats
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, -1e-300,
+                1e300, -1e300, 1.7976931348623157e308)
+
+
+def _floats(bound=None):
+    """Floats in [-bound, bound] (any float if bound is None), edge values often."""
+    edges = [x for x in _EDGE_FLOATS if bound is None or abs(x) <= bound]
+    finite = bound is not None
+    return st.sampled_from(edges) | st.floats(
+        -bound if finite else None, bound, allow_nan=not finite, allow_infinity=not finite
+    )
+
+
+def _links(family):
+    """Valid links of the family: Werner p in [0, 1]; inner points of the BDS tetrahedron and Bloch ball."""
+    if family == "werner":
+        return st.builds(WernerParams, _floats(1.0).filter(lambda p: p >= 0.0))
+    if family == "bds":
+        return st.builds(BdsParams, _floats(1 / 3), _floats(1 / 3), _floats(1 / 3))
+    vector = st.lists(_floats(0.5), min_size=3, max_size=3).map(np.array)
+    return st.builds(BlochForm, vector, vector, st.lists(_floats(1.0), min_size=9, max_size=9).map(np.array))
+
+
+@st.composite
+def _sweep_records(draw):
+    """Records whose links, etas tuples and float values recur, as a sweep's do."""
+    family = draw(st.sampled_from(sweep_module.FAMILIES))
+    links = draw(st.lists(_links(family), min_size=1, max_size=4))
+    values = st.sampled_from(draw(st.lists(_floats(), min_size=1, max_size=6)))
+    records = []
+    for index in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(1, 3))
+        records.append(SweepRecord(
+            index=index, family=family, n=n,
+            link_params=tuple(draw(st.sampled_from(links)) for _ in range(n + 1)),
+            etas=tuple(draw(values) for _ in range(draw(st.integers(1, 2)))),
+            c_in=tuple(draw(values) for _ in range(n + 1)),
+            c_out=draw(values), f_out=draw(values),
+            entangled=draw(st.booleans()), useful=draw(st.booleans()),
+        ))
+    return records
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_sweep_records())
+def test_csv_matches_csv_writer_on_any_records(tmp_path, records):
+    path = tmp_path / "records.csv"
+    write_csv(records, path)
+    assert _first_wrong_row(path, records) is None
+
+
+def test_csv_reads_its_input_once(tmp_path):
+    # a generator of records writes what the list writes
+    records, _ = run_sweep(SweepConfig(family="bds", sample_count=20, n_repeaters=[1, 2],
+                                       eta_spec=[0.8, 1.0], seed=6))
+    write_csv(records, tmp_path / "list.csv")
+    write_csv(iter(records), tmp_path / "iter.csv")
+    assert (tmp_path / "iter.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
+def test_csv_of_a_stream_that_frees_its_links(tmp_path):
+    # each streamed record brings new link objects, freed once it is written:
+    # after a memo starts afresh, no new link may get a freed link's text
+    records, _ = run_sweep(SweepConfig(family="werner", sample_count=3000, n_repeaters=[1, 2], seed=9))
+    assert sum(r.n + 1 for r in records) > 1.5 * sweep_module._MEMO_ENTRIES
+    stream = (dataclasses.replace(r, link_params=tuple(WernerParams(p.p) for p in r.link_params)) for r in records)
+    write_csv(stream, tmp_path / "stream.csv")
+    assert _first_wrong_row(tmp_path / "stream.csv", records) is None
+
+
+@pytest.mark.parametrize("config, records_expected, budget", [
+    # the grid repeats a few links and values: a memo of each record's link
+    # tuple, or a buffer of every row, costs over 1 MiB here
+    (SweepConfig(family="werner", mode="grid", grid_steps=10, n_repeaters=3), 10**4, 256 * 1024),
+    # 12 000 links and 15 216 distinct values: memos without a bound hold them all, 3.7 MiB
+    (SweepConfig(family="bds", sample_count=6000, eta_spec=[0.8, 1.0], seed=5), 12000, 3 * 1024**2),
+], ids=["werner-grid", "bds-random"])
+def test_csv_writer_memory_does_not_grow_with_records(tmp_path, config, records_expected, budget):
+    records, _ = run_sweep(config)
+    assert len(records) == records_expected
+    write_csv(records, tmp_path / "warm.csv")  # first-call allocations are not the writer's
+    tracemalloc.start()
+    try:
+        write_csv(records, tmp_path / "sweep.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
 
 
 def test_general_family_oracle_sweep_records():
