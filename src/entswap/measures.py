@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError
-from .states import _PAIR, BdsParams, TwoQubitState, _as_matrix, check_visibility, pauli_decompose
+from .states import _PAIR, BdsParams, TwoQubitState, _as_matrix, bell_weights, check_visibility, pauli_decompose
 
 _YY = _PAIR[2, 2]
 
@@ -78,8 +78,8 @@ def concurrence_bds(params: BdsParams | tuple) -> float | np.ndarray:
     """
     if not isinstance(params, BdsParams):
         params = BdsParams(*(float(t) for t in params))
-    lam = params.eigenvalues()
-    # one triple stays on Python floats with no helper call: sampling calls this once per draw
+    lam = bell_weights(params.t1, params.t2, params.t3)
+    # one triple stays on Python floats with no helper call: a random sweep calls this once per drawn link
     stack = isinstance(params.t1, np.ndarray)
     c = 2.0 * (np.maximum.reduce(lam) if stack else max(lam)) - 1.0
     return _positive_part(c) if stack else max(0.0, c)

@@ -212,13 +212,21 @@ class BdsParams:
 
     def eigenvalues(self) -> tuple[float, float, float, float]:
         """The four Bell-basis eigenvalues of the state (of each member of a stack)."""
-        t1, t2, t3 = self.t1, self.t2, self.t3
-        return (
-            (1.0 - t1 - t2 - t3) / 4.0,
-            (1.0 - t1 + t2 + t3) / 4.0,
-            (1.0 + t1 - t2 + t3) / 4.0,
-            (1.0 + t1 + t2 - t3) / 4.0,
-        )
+        return bell_weights(self.t1, self.t2, self.t3)
+
+
+def bell_weights(t1, t2, t3):
+    """The four Bell-basis eigenvalues (vertex weights) of the correlations (t1, t2, t3).
+
+    Floats give floats and arrays of one shape give arrays, by the same
+    operations; nothing is validated.
+    """
+    return (
+        (1.0 - t1 - t2 - t3) / 4.0,
+        (1.0 - t1 + t2 + t3) / 4.0,
+        (1.0 + t1 - t2 + t3) / 4.0,
+        (1.0 + t1 + t2 - t3) / 4.0,
+    )
 
 
 @dataclass(frozen=True)

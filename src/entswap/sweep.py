@@ -41,6 +41,7 @@ from .states import (
     TwoQubitState,
     WernerParams,
     _checked_density_matrix,
+    bell_weights,
     make_bell_diagonal,
     make_werner,
     pauli_decompose,
@@ -151,8 +152,16 @@ def sample_state(
 
     werner: visibility uniform on [0, 1] (rejected down to (1/3, 1] when
     entangled inputs are required).  bds: uniform on the cube [-1, 1]^3
-    with tetrahedron rejection.  general: rho = G G+ / Tr(G G+) with G a
-    4x4 matrix of standard complex Gaussians.
+    with tetrahedron rejection (and, when entangled inputs are required,
+    rejection of separable triples).  general: rho = G G+ / Tr(G G+) with
+    G a 4x4 matrix of standard complex Gaussians.
+
+    Each werner or bds try is one ``rng.random`` call, mapped as
+    ``Generator.uniform(low, high)`` maps it: low + (high - low) * u.  The
+    map is exact (0.0 + u is u and 2.0 * u is exact), so the stream and
+    every draw are those of ``uniform(0.0, 1.0)`` and
+    ``uniform(-1.0, 1.0, 3)`` bit for bit.  A try is filtered on its raw
+    floats; only the accepted link is built as validated parameters.
 
     With ``dense=False`` a werner or bds link comes back as (params, None):
     its dense state is not built.  A general link is drawn as its dense
@@ -161,19 +170,21 @@ def sample_state(
     """
     if family == "werner":
         for _ in range(_MAX_REJECTIONS):
-            p = rng.uniform(0.0, 1.0)
+            p = rng.random()
             if not entangled_inputs_only or p > 1.0 / 3.0:
                 params = WernerParams(p)
                 return params, make_werner(params) if dense else None
     elif family == "bds":
         for _ in range(_MAX_REJECTIONS):
             # Python floats give the same IEEE results as numpy scalars, with cheaper arithmetic
-            t1, t2, t3 = rng.uniform(-1.0, 1.0, size=3).tolist()
+            u1, u2, u3 = rng.random(3).tolist()
+            t1, t2, t3 = -1.0 + 2.0 * u1, -1.0 + 2.0 * u2, -1.0 + 2.0 * u3
             if not _inside_tetrahedron(t1, t2, t3):
                 continue
-            params = BdsParams(t1, t2, t3)
-            if entangled_inputs_only and concurrence_bds(params) <= 0.0:
+            # concurrence_bds is max(0, 2 max(weights) - 1): a separable triple has no positive part
+            if entangled_inputs_only and 2.0 * max(bell_weights(t1, t2, t3)) - 1.0 <= 0.0:
                 continue
+            params = BdsParams(t1, t2, t3)
             return params, make_bell_diagonal(params) if dense else None
     elif family == "general":
         for _ in range(_MAX_REJECTIONS):

@@ -3,13 +3,16 @@
 The chain formulas here are deliberately written in their long display
 forms (geometric sums, explicit subset sums, sorted eigenvalue lists) so
 they provide an independent route against the package's reduced product
-implementations.
+implementations.  reference_sample_state keeps an earlier form of the
+Werner and Bell-diagonal draws, against which the sampler is pinned.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+from entswap import BdsParams, ConfigError, WernerParams, concurrence_bds, make_bell_diagonal, make_werner
 
 
 def ginibre_matrix(rng, rank=4):
@@ -108,3 +111,42 @@ def different_eta_bds_concurrence(ts, etas):
 
 def brute_min_eigenvalue(matrix):
     return float(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)[0])
+
+
+# Frozen reference for the Werner and Bell-diagonal draws: the rejection
+# loops of entswap.sweep.sample_state as they were when every try called
+# Generator.uniform.  sample_state must give the same links, and leave the
+# stream at the same point, bit for bit.
+_MAX_REJECTIONS = 1_000_000
+
+
+def _inside_tetrahedron(t1: float, t2: float, t3: float) -> bool:
+    return (
+        1 - t1 - t2 - t3 >= 0
+        and 1 - t1 + t2 + t3 >= 0
+        and 1 + t1 - t2 + t3 >= 0
+        and 1 + t1 + t2 - t3 >= 0
+    )
+
+
+def reference_sample_state(family, rng, entangled_inputs_only=False, *, dense=True):
+    """One werner or bds link drawn with Generator.uniform: (family parameters, state or None)."""
+    if family == "werner":
+        for _ in range(_MAX_REJECTIONS):
+            p = rng.uniform(0.0, 1.0)
+            if not entangled_inputs_only or p > 1.0 / 3.0:
+                params = WernerParams(p)
+                return params, make_werner(params) if dense else None
+    elif family == "bds":
+        for _ in range(_MAX_REJECTIONS):
+            # Python floats give the same IEEE results as numpy scalars, with cheaper arithmetic
+            t1, t2, t3 = rng.uniform(-1.0, 1.0, size=3).tolist()
+            if not _inside_tetrahedron(t1, t2, t3):
+                continue
+            params = BdsParams(t1, t2, t3)
+            if entangled_inputs_only and concurrence_bds(params) <= 0.0:
+                continue
+            return params, make_bell_diagonal(params) if dense else None
+    else:
+        raise ConfigError(f"unknown family {family!r}")
+    raise ConfigError(f"rejection sampling for {family!r} did not converge")

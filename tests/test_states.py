@@ -201,6 +201,30 @@ def test_constructor_clamps_fp_noise():
     assert diag.hermiticity_defect < 1e-15
 
 
+def test_states_with_an_exact_zero_eigenvalue_pass_unchanged():
+    # only a negative smallest eigenvalue is clamped: a matrix whose smallest
+    # eigenvalue is exactly 0.0 keeps every bit, where a trip through the
+    # clamp's eigh and renormalization would round it
+    from entswap import TwoQubitState
+    from entswap.states import _PAIR, BELL_KETS
+
+    phi, psi = BELL_KETS["phi+"], BELL_KETS["psi-"]
+    bds = np.eye(4, dtype=complex)
+    for i, t in enumerate((0.5, -0.5, 0.0), start=1):
+        bds = bds + t * _PAIR[i, i]
+    # the matrices bell_state("phi+"), make_werner(1.0) and make_bell_diagonal((0.5, -0.5, 0.0)) validate
+    candidates = {
+        "phi+": np.outer(phi, phi.conj()),
+        "werner p=1": (1.0 - 1.0) / 4.0 * np.eye(4, dtype=complex) + 1.0 * np.outer(psi, psi.conj()),
+        "bds (0.5, -0.5, 0)": bds / 4.0,
+    }
+    exact_zero = [name for name, m in candidates.items() if brute_min_eigenvalue(m) == 0.0]
+    assert exact_zero, "no candidate has an exact-zero smallest eigenvalue"
+    for name in exact_zero:
+        m = candidates[name]
+        assert TwoQubitState(m).matrix.tobytes() == m.tobytes(), name
+
+
 def test_constructor_outputs_pass_validate():
     rng = np.random.default_rng(9)
     states = [

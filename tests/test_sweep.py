@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -39,6 +40,7 @@ from entswap import (
 from entswap import sweep as sweep_module
 from entswap.measures import FLAG_MARGIN, flags
 from entswap.sweep import _inside_tetrahedron, evaluate_chain
+from helpers import reference_sample_state
 
 
 def test_sample_state_werner_entangled_only():
@@ -84,6 +86,100 @@ def test_sample_streams_are_split_by_index():
     assert a0 == a0_again
     assert a0 != a1
     assert a0 != other_seed
+
+
+# (seed, sample index) keys of the Philox streams: small, large and edge seeds
+_STREAM_KEYS = [(seed, index) for seed in (0, 7, 2**63 + 5, 2**64 - 1) for index in range(50)]
+
+
+def _bits(params) -> tuple[str, ...]:
+    """Each field of Werner or BDS params as its exact float (0.0 and -0.0 differ)."""
+    return tuple(v.hex() for v in (params.as_tuple() if isinstance(params, BdsParams) else (params.p,)))
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+@pytest.mark.parametrize("entangled_inputs_only", [False, True])
+def test_sample_state_draws_what_the_uniform_loop_drew(family, entangled_inputs_only):
+    # the frozen uniform-based loop and sample_state read the same stream: each
+    # link is equal bit for bit, and the stream is left at the same point
+    for seed, index in _STREAM_KEYS:
+        rng, reference_rng = link_generator(seed, index), link_generator(seed, index)
+        for link in range(20):
+            params, _ = sample_state(family, rng, entangled_inputs_only, dense=False)
+            expected, _ = reference_sample_state(family, reference_rng, entangled_inputs_only, dense=False)
+            assert type(params) is type(expected) and _bits(params) == _bits(expected), (seed, index, link)
+        assert rng.uniform() == reference_rng.uniform(), (seed, index)
+
+
+def test_uniform_is_the_affine_map_of_random():
+    # numpy's contract that sample_state relies on: uniform(low, high) is
+    # low + (high - low) * random(), in the same order, bit for bit
+    for seed, index in _STREAM_KEYS:
+        g, h = link_generator(seed, index), link_generator(seed, index)
+        assert (-1.0 + 2.0 * g.random(300)).tobytes() == h.uniform(-1.0, 1.0, 300).tobytes(), (seed, index)
+        for _ in range(3):
+            u = g.random()
+            assert type(u) is float and u.hex() == h.uniform(0.0, 1.0).hex(), (seed, index)
+        assert [-1.0 + 2.0 * u for u in g.random(3).tolist()] == h.uniform(-1.0, 1.0, size=3).tolist()
+
+
+class _ScriptedRng:
+    """Yields the given doubles as Generator.random's next doubles, and uniform as numpy maps them."""
+
+    def __init__(self, doubles):
+        self._doubles = iter(doubles)
+
+    def random(self, size=None):
+        if size is None:
+            return next(self._doubles)
+        return np.array([next(self._doubles) for _ in range(size)])
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self.random(size)
+
+
+@pytest.mark.parametrize("draw", [sample_state, reference_sample_state], ids=["sample_state", "reference"])
+def test_entangled_only_draws_reject_ties(draw):
+    # a stream never draws p = 1/3 (random() gives multiples of 2**-53) and
+    # draws a BDS tie with probability about 2**-53 per try, so scripted
+    # doubles put the ties first: p = 1/3, and the triple (0.5, 0, -0.5),
+    # whose largest weight is 1/2 (concurrence exactly 0)
+    third = 1.0 / 3.0
+    assert draw("werner", _ScriptedRng([third, 0.5]), True)[0] == WernerParams(0.5)
+    assert draw("werner", _ScriptedRng([third, 0.5]), False)[0] == WernerParams(third)
+    tie, singlet = [0.75, 0.5, 0.25], [0.0, 0.0, 0.0]
+    assert concurrence_bds(BdsParams(0.5, 0.0, -0.5)) == 0.0
+    assert draw("bds", _ScriptedRng(tie + singlet), True)[0] == BdsParams(-1.0, -1.0, -1.0)
+    assert draw("bds", _ScriptedRng(tie + singlet), False)[0] == BdsParams(0.5, 0.0, -0.5)
+    # a point on a face of the tetrahedron (a weight of exactly 0) is inside
+    face = [0.75, 0.75, 0.5]
+    assert draw("bds", _ScriptedRng(face + singlet), False)[0] == BdsParams(0.5, 0.5, 0.0)
+
+
+# sha256 of the CSV and summary of two entangled-input random sweeps, as written
+# when sample_state drew every try with Generator.uniform
+_GOLDEN_SWEEPS = {
+    "werner": ("9e765a5c187dbffcff0c3226daae1d93252a3509efdcbd765574e639f9e41282",
+               "516f81d67a2c7057ded1a474a3feb79500076ba438e41aed102c9821dca611e0"),
+    "bds": ("bf0a9c0187d0545cda7a7660c013040ae7d770c335e5ceaefe6e8ae4617711ed",
+            "89b9f011d2b03112a24837bca0a85d28f5dfa69d2de9ac8f9ab9224596788b6d"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_GOLDEN_SWEEPS))
+def test_entangled_random_sweeps_keep_their_bytes(tmp_path, family):
+    config = SweepConfig(
+        family=family, sample_count=300, n_repeaters=[1, 3], eta_spec=[0.8, 1.0], seed=41,
+        entangled_inputs_only=True,
+    )
+    records, summary = run_sweep(config)
+    write_csv(records, tmp_path / "sweep.csv")
+    write_summary_json(summary, tmp_path / "summary.json")
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("sweep.csv", "summary.json")
+    )
+    assert len(records) == 1800
+    assert digests == _GOLDEN_SWEEPS[family]
 
 
 def test_run_sweep_is_deterministic():
@@ -347,16 +443,20 @@ def _naive_csv(records) -> str:
     return out.getvalue()
 
 
-def _first_wrong_row(path, records):
-    """The first row of the file at ``path`` that differs from _naive_csv(records), or None.
+def _first_wrong_line(written: str, expected: str):
+    """The first line of ``written`` that differs from ``expected``'s, or None when the texts are equal.
 
-    A failing check then reports one row, not pytest's diff of two whole files.
+    A failing check then reports one line, not pytest's diff of two whole texts.
     """
-    written = path.read_text(encoding="utf-8").split("\n")
-    expected = _naive_csv(records).split("\n")
+    written, expected = written.split("\n"), expected.split("\n")
     if len(written) != len(expected):
         return f"{len(written)} lines, expected {len(expected)}"
     return next(((k, a, b) for k, (a, b) in enumerate(zip(written, expected)) if a != b), None)
+
+
+def _first_wrong_row(path, records):
+    """The first row of the file at ``path`` that differs from _naive_csv(records), or None."""
+    return _first_wrong_line(path.read_text(encoding="utf-8"), _naive_csv(records))
 
 
 @pytest.mark.parametrize("config", [
@@ -369,7 +469,7 @@ def test_csv_matches_a_per_record_formatter(tmp_path, config):
     records, _ = run_sweep(config)
     path = tmp_path / "sweep.csv"
     write_csv(records, path)
-    assert path.read_text(encoding="utf-8") == _naive_csv(records)
+    assert _first_wrong_row(path, records) is None
 
 
 def test_csv_tells_zero_from_negative_zero(tmp_path):
@@ -385,7 +485,7 @@ def test_csv_tells_zero_from_negative_zero(tmp_path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert [row[3:5] for row in rows[1:]] == [["0;-0", "0"], ["-0;0", "-0"]]
-    assert path.read_text(encoding="utf-8") == _naive_csv(records)
+    assert _first_wrong_row(path, records) is None
 
 
 def test_werner_grid_records_stay_small():
@@ -772,7 +872,7 @@ def test_multi_eta_cells_equal_single_eta_sweeps(tmp_path, family, engine, swap_
     order = [(n, eta) for n in (1, 2) for eta in etas]
     assert [_record_fields(r) for r in records] == [f for key in order for f in expected_records[key]]
     body = (tmp_path / "multi.csv").read_text(encoding="utf-8").split("\n", 1)[1]
-    assert body == "".join(line for key in order for line in expected_lines[key])
+    assert _first_wrong_line(body, "".join(line for key in order for line in expected_lines[key])) is None
     assert summary["cells"] == [expected_cells[key] for key in order]
 
 
