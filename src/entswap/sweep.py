@@ -106,9 +106,17 @@ class SweepConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class SweepRecord:
-    """One evaluated sample: its inputs, outputs and classification flags."""
+    """One evaluated sample: its inputs, outputs and classification flags.
+
+    Slotted and not frozen: a frozen dataclass's ``__init__`` sets each
+    field through ``object.__setattr__``, which costs several times a
+    plain slotted one and, on a Werner grid, more than the closed forms
+    that compute the records.  The package never mutates a record, and
+    the fields records share (link tuples and params, etas tuples) are
+    immutable.  Records compare and hash by identity.
+    """
 
     index: int
     family: str
@@ -407,7 +415,11 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     cells = []
     # the plan is n-major: each chunk of links is drawn once and serves every eta cell of its n
     for n, n_cells in groupby(plan, key=lambda cell: cell[0]):
-        n_cells = [(eta_label, etas, NoiseModel(etas), []) for _, eta_label, etas in n_cells]
+        # each cell's summary entry is counted from its flag columns as the chunks come
+        n_cells = [
+            (etas, NoiseModel(etas), [], {"n": n, "eta": eta_label, "samples": 0, "entangled": 0, "useful": 0})
+            for _, eta_label, etas in n_cells
+        ]
         samples = enumerate(link_source(config, n))
         while chunk := list(islice(samples, CHUNK_SIZE)):
             indices, sampled = zip(*chunk)
@@ -415,9 +427,11 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
             links = _link_stack(config.family, config.engine, params, states)
             if config.family == "general":
                 c_in = [tuple(c) for c in concurrence(links).T.tolist()]
-            for _, etas, noise, cell_records in n_cells:
+            for etas, noise, cell_records, cell in n_cells:
                 c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noise, links)
                 entangled, useful = flags(c_out, f_out)
+                cell["entangled"] += int(np.count_nonzero(entangled))
+                cell["useful"] += int(np.count_nonzero(useful))
                 # tolist() makes each zero its own float object; one shared 0.0 (no c_out
                 # is -0.0) saves 2.5 MiB on a 1.1e5-record grid whose c_out are almost all 0
                 c_out = [c or 0.0 for c in c_out.tolist()]
@@ -427,17 +441,10 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
                         indices, params, c_in, c_out, f_out.tolist(), entangled.tolist(), useful.tolist()
                     )
                 ]
-        for eta_label, _, _, cell_records in n_cells:
+        for _, _, cell_records, cell in n_cells:
             records.extend(cell_records)
-            cells.append(
-                {
-                    "n": n,
-                    "eta": eta_label,
-                    "samples": len(cell_records),
-                    "entangled": sum(1 for r in cell_records if r.entangled),
-                    "useful": sum(1 for r in cell_records if r.useful),
-                }
-            )
+            cell["samples"] = len(cell_records)
+            cells.append(cell)
     summary = {
         "config_echo": config.to_dict(),
         "totals": {key: sum(cell[key] for cell in cells) for key in ("samples", "entangled", "useful")},
@@ -470,21 +477,24 @@ def _format_link(family: str, params) -> str:
 _MEMO_ENTRIES = 8192
 
 
-class _FloatTexts(dict):
-    """%.12g text of each non-zero float, keyed by value and formatted on first use.
+#: Text of a zero field, keyed by math.copysign(1.0, zero): 0.0 == -0.0, but they print as 0 and -0.
+_ZERO_TEXTS = {1.0: "0", -1.0: "-0"}
 
-    Zeros are never stored: 0.0 == -0.0, but they print as 0 and -0.  The
-    memo starts afresh when it reaches _MEMO_ENTRIES entries.
+
+class _FloatTexts(dict):
+    """%.12g text of each float, keyed by value and formatted on first use.
+
+    write_csv never looks a zero up here (it reads _ZERO_TEXTS), so every
+    key is non-zero and equal keys print the same.  The memo starts afresh
+    when it reaches _MEMO_ENTRIES entries.
     """
 
     __slots__ = ()
 
     def __missing__(self, value) -> str:
-        text = _fmt(value)
-        if value:
-            if len(self) >= _MEMO_ENTRIES:
-                self.clear()
-            self[value] = text
+        if len(self) >= _MEMO_ENTRIES:
+            self.clear()
+        text = self[value] = _fmt(value)
         return text
 
 
@@ -499,6 +509,10 @@ def write_csv(records, path) -> None:
       it lives;
     - each distinct non-zero c_in_min, c_in_prod, c_out and f_out value
       is formatted once (see _FloatTexts).
+    A zero field costs no memo lookup: its text is "0" or "-0", read from
+    _ZERO_TEXTS by its sign.  c_in is read once per record; its minimum
+    and product are the c_in_min and c_in_prod properties' expressions,
+    so their values and signs of zero are the same.
     A memo that reaches _MEMO_ENTRIES entries starts afresh, so the
     writer's memory does not grow with the number of records.  Quoting is
     the csv module's QUOTE_MINIMAL (RFC 4180): %.12g text never holds a
@@ -506,6 +520,7 @@ def write_csv(records, path) -> None:
     which only a Bell-diagonal or general link field does.
     """
     floats = _FloatTexts()
+    zero, copysign, prod = _ZERO_TEXTS, math.copysign, math.prod
     texts: dict[int, str] = {}
     kept = []
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -529,10 +544,15 @@ def write_csv(records, path) -> None:
                 etas = texts[id(r.etas)]
             if "," in link:
                 link = f'"{link}"'
+            c_in = r.c_in
+            c_min, c_prod, c_out, f_out = min(c_in), prod(c_in), r.c_out, r.f_out
             fh.write(
-                f"{r.index},{r.family},{r.n},{link},{etas},{floats[r.c_in_min]},{floats[r.c_in_prod]},"
-                f"{floats[r.c_out]},{floats[r.f_out]},{'true' if r.entangled else 'false'},"
-                f"{'true' if r.useful else 'false'}\n"
+                f"{r.index},{r.family},{r.n},{link},{etas},"
+                f"{floats[c_min] if c_min else zero[copysign(1.0, c_min)]},"
+                f"{floats[c_prod] if c_prod else zero[copysign(1.0, c_prod)]},"
+                f"{floats[c_out] if c_out else zero[copysign(1.0, c_out)]},"
+                f"{floats[f_out] if f_out else zero[copysign(1.0, f_out)]},"
+                f"{'true' if r.entangled else 'false'},{'true' if r.useful else 'false'}\n"
             )
 
 

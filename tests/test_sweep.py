@@ -182,6 +182,43 @@ def test_entangled_random_sweeps_keep_their_bytes(tmp_path, family):
     assert digests == _GOLDEN_SWEEPS[family]
 
 
+# sha256 of the CSV and summary of three sweeps whose C columns are mostly zero
+_GOLDEN_ZERO_HEAVY_SWEEPS = {
+    "werner-grid": (
+        SweepConfig(family="werner", mode="grid", grid_steps=6, n_repeaters=[1, 3], eta_spec=[0.6103, 0.9],
+                    engine="closedform"),
+        "ff9935217efb4fbf4eb1c707c6025d273d04a0fc67fe830d92dd83d1f76b21fa",
+        "3d30ee0bb01e60e08ee3c505a80766e6ecb110c3f27b33893b04c74487e00b2c",
+    ),
+    "general-random": (
+        SweepConfig(family="general", sample_count=30, n_repeaters=[1, 2], eta_spec=[0.8, 1.0], seed=13,
+                    engine="oracle"),
+        "9b87638b8c48046692dc357fe0f40bcb8283c5254176b981eeaf5b70fb60d674",
+        "bfd517f41eb8044eb658bab80887a8260bb3b95a07eec318870b9d22d575e6e6",
+    ),
+    "bds-grid": (
+        SweepConfig(family="bds", mode="grid", grid_steps=4, n_repeaters=[1, 2], eta_spec=[0.8, 1.0],
+                    entangled_inputs_only=False),
+        "08d42f4b30302175b8ee1b5b9d63d7a418a8b26a17319bf00dbb4fb5788c3203",
+        "e6ad62e967d82ace5e021ab46f13e4d8f8b30ff1002f629e8bf92fd88658561a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_ZERO_HEAVY_SWEEPS))
+def test_zero_heavy_sweeps_keep_their_bytes(tmp_path, name):
+    config, csv_digest, summary_digest = _GOLDEN_ZERO_HEAVY_SWEEPS[name]
+    records, summary = run_sweep(config)
+    # most C fields are zeros, which the writer prints without its float memo
+    assert sum(r.c_out == 0.0 for r in records) > len(records) / 2
+    write_csv(records, tmp_path / "sweep.csv")
+    write_summary_json(summary, tmp_path / "summary.json")
+    digests = tuple(
+        hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in ("sweep.csv", "summary.json")
+    )
+    assert digests == (csv_digest, summary_digest)
+
+
 def test_run_sweep_is_deterministic():
     config = SweepConfig(
         family="werner", mode="random", sample_count=50, n_repeaters=2,
@@ -486,6 +523,56 @@ def test_csv_tells_zero_from_negative_zero(tmp_path):
         rows = list(csv.reader(fh))
     assert [row[3:5] for row in rows[1:]] == [["0;-0", "0"], ["-0;0", "-0"]]
     assert _first_wrong_row(path, records) is None
+
+
+def test_csv_prints_the_sign_of_every_zero_field(tmp_path, monkeypatch):
+    memos = []
+
+    class RecordedTexts(sweep_module._FloatTexts):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(sweep_module, "_FloatTexts", RecordedTexts)
+    link = (WernerParams(0.5), WernerParams(0.25))
+    records = [
+        SweepRecord(index, "werner", 1, link, (0.9,), c_in, c_out, 0.5, False, False)
+        for index, (c_in, c_out) in enumerate(
+            (c_in, c_out) for c_in in [(0.0, -0.0), (-0.0, 0.0), (0.5, -0.0)] for c_out in [0.0, -0.0]
+        )
+    ]
+    path = tmp_path / "zeros.csv"
+    write_csv(records, path)
+    assert _first_wrong_row(path, records) is None
+    # min keeps the first of equal zeros; the product of (0.5, -0.0) is -0.0
+    rows = [line.split(",")[5:8] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert rows == [
+        ["0", "-0", "0"], ["0", "-0", "-0"],
+        ["-0", "-0", "0"], ["-0", "-0", "-0"],
+        ["-0", "-0", "0"], ["-0", "-0", "-0"],
+    ]
+    assert len(memos) == 1 and memos[0] and not any(value == 0.0 for value in memos[0])
+
+
+def test_sweep_records_are_plain_slotted_dataclasses():
+    records, _ = run_sweep(SweepConfig(family="werner", mode="grid", grid_steps=3, n_repeaters=1))
+    record = records[0]
+    assert not hasattr(record, "__dict__")
+    assert SweepRecord.__slots__ == (
+        "index", "family", "n", "link_params", "etas", "c_in", "c_out", "f_out", "entangled", "useful"
+    )
+    assert SweepRecord.__slots__ == tuple(field.name for field in dataclasses.fields(SweepRecord))
+    c_out = record.c_out
+    changed = dataclasses.replace(record, c_out=0.25)
+    assert type(changed) is SweepRecord and changed is not record
+    assert (changed.c_out, record.c_out) == (0.25, c_out)
+    assert changed.link_params is record.link_params
+    # records compare by identity, not by value
+    twin = dataclasses.replace(record)
+    assert twin != record and record == record
+    assert hash(twin) != hash(record)
 
 
 def test_werner_grid_records_stay_small():
