@@ -7,9 +7,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError
-from .states import _PAIR, BdsParams, TwoQubitState, _as_matrix, bell_weights, check_visibility, pauli_decompose
+from .states import (
+    _BLOCH_STACK,
+    _PAIR,
+    BdsParams,
+    TwoQubitState,
+    _as_matrix,
+    bell_weights,
+    check_visibility,
+    pauli_decompose,
+)
 
 _YY = _PAIR[2, 2]
+# the nine operators sigma_i (x) sigma_j, i, j = 1..3, whose expectations are T row-major
+_T_STACK = _BLOCH_STACK[6:]
 
 #: A state is useful as a teleportation channel only above this fidelity.
 CLASSICAL_FIDELITY = 2.0 / 3.0
@@ -50,7 +61,8 @@ def concurrence(state) -> float | np.ndarray:
     if not isinstance(state, TwoQubitState) and not np.isfinite(m).all():
         raise InvalidStateError("concurrence input has a NaN or infinite entry")
     w, v = np.linalg.eigh(m)
-    scaled = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    np.sqrt(np.maximum(w, 0.0, out=w), out=w)
+    scaled = v * w[..., None, :]
     lam = np.linalg.svd(scaled.swapaxes(-1, -2) @ _YY @ scaled, compute_uv=False)
     # lam.T[k] is lam[..., k] with the leading axes reversed, and .T puts
     # them back; for one matrix the entries are plain scalars.
@@ -92,8 +104,16 @@ def teleportation_fidelity(state) -> float | np.ndarray:
     correlation matrix T.  Singular values (not eigenvalues) keep the
     formula correct for correlation matrices with negative entries.
     One matrix gives a float; a (..., 4, 4) stack gives an array.
+
+    A TwoQubitState's T is read alone, by the operations pauli_decompose
+    uses for it: validation already bounds every Pauli expectation of
+    such a state.  A bare matrix or stack goes through pauli_decompose,
+    whose BlochForm rejects a NaN or out-of-range r, s or T.
     """
-    T = pauli_decompose(state).T
+    if isinstance(state, TwoQubitState):
+        T = np.einsum("kij,...ji->...k", _T_STACK, state.matrix).real.reshape(3, 3)
+    else:
+        T = pauli_decompose(state).T
     n = np.linalg.svd(T, compute_uv=False).sum(axis=-1)
     f = (1.0 + n / 3.0) / 2.0
     return f if f.ndim else float(f)

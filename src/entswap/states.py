@@ -73,14 +73,15 @@ def _checked_density_matrix(matrix, shape: tuple[int, ...], label: str) -> np.nd
     adjoint = m.conj().swapaxes(-1, -2)
     # A NaN or infinite entry makes the defect NaN or inf, which fails the
     # test below, so non-finite input never reaches eigvalsh.
-    defect = np.abs(m - adjoint).max()
+    defect = np.abs(m - adjoint).max(initial=0.0)
     if not defect <= HERMITICITY_TOL:
         raise InvalidStateError(f"{label} is not a finite Hermitian matrix (defect {defect:.3e})")
     trace = m.trace(axis1=-2, axis2=-1)
     off = abs(trace - 1.0) > TRACE_TOL
     if _any(off):
         raise InvalidStateError(f"{label} has trace {np.extract(off, trace)[0].real:.12g}, expected 1")
-    m = (m + adjoint) / 2.0
+    m = m + adjoint
+    m /= 2.0
     smallest = np.linalg.eigvalsh(m)[..., 0]
     negative = smallest < 0.0
     if _any(negative):
@@ -142,7 +143,7 @@ class BlochForm:
         # "not within the bound" rather than "beyond it", so NaN fails too
         if _any(~((r * r).sum(axis=-1) <= slack**2)) or _any(~((s * s).sum(axis=-1) <= slack**2)):
             raise InvalidParametersError("Bloch vectors must have norm <= 1")
-        if not np.abs(T).max() <= slack:
+        if not np.abs(T).max(initial=0.0) <= slack:
             raise InvalidParametersError("correlation matrix entries must lie in [-1, 1]")
         for arr, name in ((r, "r"), (s, "s"), (T, "T")):
             arr.flags.writeable = False

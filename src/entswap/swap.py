@@ -20,7 +20,8 @@ state.  The tables are the conditional-state formula
 with the operators of :func:`noisy_bell_measurement_ops` at eta = 1 (the
 Bell projectors) and at eta = 0 (I_4/4 each).  The operators are linear
 in eta, so a povm step is the eta-weighted mix of the two.  Every chain
-step, in both modes, reads the step table of outcome sums; only
+step, in both modes, reads the step table of outcome sums (a paper step
+only its perfect half, kept as a table of its own); only
 :func:`swap_once_perfect` reads the outcome table, for its per-outcome
 results.
 
@@ -89,9 +90,10 @@ def _bilinear(table: np.ndarray, left_m: np.ndarray, right_m: np.ndarray) -> np.
     return (right_m.reshape(lead + (1, 16)) @ half).reshape(lead + (-1, 4, 4))
 
 
-def _normalized(m: np.ndarray) -> np.ndarray:
-    """Each (..., 4, 4) member of m divided by its own trace."""
-    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
+def _normalize(m: np.ndarray) -> np.ndarray:
+    """Divide each (..., 4, 4) member of m by its own trace, in place; returns m."""
+    m /= m.trace(axis1=-2, axis2=-1).real[..., None, None]
+    return m
 
 
 def _check_eta(eta: float) -> float:
@@ -192,6 +194,7 @@ def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
     swap_once_perfect reads it.  The step table's columns are (vec R,
     part, vec out): part 0 is their sum over outcomes, which every chain
     step reads, and part 1 the same sum at eta = 0, the povm noise term.
+    Paper steps read part 0 alone, copied out as _PERFECT_TABLE.
     """
     unit = np.eye(16, dtype=complex).reshape(16, 4, 4)
     perfect, noise = (
@@ -204,11 +207,17 @@ def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
 
 # Built once at import: per-outcome results read the first, every chain step the second.
 _OUTCOME_TABLE, _STEP_TABLE = _swap_tables()
+# The step table's part 0 as its own contiguous (16, 256) table, read by paper steps.
+_PERFECT_TABLE = np.ascontiguousarray(_STEP_TABLE.reshape(16, 16, 2, 16)[:, :, 0]).reshape(16, -1)
 
 
 def _perfect_average(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
-    """The perfect swap averaged over its four corrected outcomes, normalized."""
-    return _normalized(_bilinear(_STEP_TABLE, left_m, right_m)[..., 0, :, :])
+    """The perfect swap averaged over its four corrected outcomes, normalized.
+
+    It reads only the perfect half of the step table, and returns a new
+    array of its own.
+    """
+    return _normalize(_bilinear(_PERFECT_TABLE, left_m, right_m)[..., 0, :, :])
 
 
 def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
@@ -236,9 +245,15 @@ def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
     return SwapResult(outcomes, averaged, averaged)
 
 
+# Both steps finish their eta mix and normalization in place, each ufunc
+# taking its operands in the order of the plain expression, such as
+# (eta * perfect + (1 - eta) I_4) / (4 - 3 eta), whose bits they give.
 def _swap_once_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) -> np.ndarray:
-    perfect = _perfect_average(left_m, right_m)
-    return (eta * perfect + (1.0 - eta) * _EYE4) / (4.0 - 3.0 * eta)
+    m = _perfect_average(left_m, right_m)
+    np.multiply(eta, m, out=m)
+    m += (1.0 - eta) * _EYE4
+    m /= 4.0 - 3.0 * eta
+    return m
 
 
 def swap_once(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubitState:
@@ -248,7 +263,10 @@ def swap_once(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubit
 
 def _swap_once_povm_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) -> np.ndarray:
     parts = _bilinear(_STEP_TABLE, left_m, right_m)
-    return _normalized(eta * parts[..., 0, :, :] + (1.0 - eta) * parts[..., 1, :, :])
+    # a new contiguous array: on a stack, ufuncs writing into the strided halves of parts run slower
+    m = eta * parts[..., 0, :, :]
+    m += (1.0 - eta) * parts[..., 1, :, :]
+    return _normalize(m)
 
 
 def swap_once_povm(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubitState:

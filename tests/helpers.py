@@ -4,7 +4,9 @@ The chain formulas here are deliberately written in their long display
 forms (geometric sums, explicit subset sums, sorted eigenvalue lists) so
 they provide an independent route against the package's reduced product
 implementations.  reference_sample_state keeps an earlier form of the
-Werner and Bell-diagonal draws, against which the sampler is pinned.
+Werner and Bell-diagonal draws, against which the sampler is pinned, and
+reference_paper_step and reference_povm_step an earlier form of the
+oracle's swap steps.
 """
 
 import math
@@ -150,3 +152,30 @@ def reference_sample_state(family, rng, entangled_inputs_only=False, *, dense=Tr
     else:
         raise ConfigError(f"unknown family {family!r}")
     raise ConfigError(f"rejection sampling for {family!r} did not converge")
+
+
+# Frozen reference for the oracle's swap steps: both modes as they read the
+# whole step table (both parts) and built each intermediate as a new array.
+# The package's steps must give the same matrices, bit for bit.
+def _reference_step_parts(left_m, right_m):
+    from entswap.swap import _STEP_TABLE
+
+    lead = left_m.shape[:-2]
+    half = (left_m.reshape(lead + (16,)) @ _STEP_TABLE).reshape(lead + (16, -1))
+    return (right_m.reshape(lead + (1, 16)) @ half).reshape(lead + (-1, 4, 4))
+
+
+def _reference_normalized(m):
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
+
+
+def reference_paper_step(left_m, right_m, eta):
+    """Paper step of (..., 4, 4) stacks of links: the normalized part 0 mixed with the identity."""
+    perfect = _reference_normalized(_reference_step_parts(left_m, right_m)[..., 0, :, :])
+    return (eta * perfect + (1.0 - eta) * np.eye(4, dtype=complex)) / (4.0 - 3.0 * eta)
+
+
+def reference_povm_step(left_m, right_m, eta):
+    """Povm step of (..., 4, 4) stacks of links: the eta-weighted parts, normalized."""
+    parts = _reference_step_parts(left_m, right_m)
+    return _reference_normalized(eta * parts[..., 0, :, :] + (1.0 - eta) * parts[..., 1, :, :])

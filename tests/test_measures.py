@@ -20,9 +20,11 @@ from entswap import (
     make_bell_diagonal,
     make_werner,
     octahedron_separable,
+    pauli_decompose,
     report,
     teleportation_fidelity,
 )
+from entswap.states import PAULI, _checked_density_matrix
 from helpers import ginibre_matrix, random_tetrahedron_point
 
 
@@ -114,6 +116,58 @@ def test_fidelity_rejects_nan(entry):
         teleportation_fidelity(m)
     with pytest.raises(InvalidParametersError):
         teleportation_fidelity(np.stack([bell_state("psi-").matrix, m]))
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        # trace 2: every T entry is +-2, r and s stay 0
+        (2.0 * bell_state("phi+").matrix, "correlation matrix"),
+        # trace 1 and Hermitian, but r = (0, 0, 2)
+        ((np.eye(4) + 2.0 * np.kron(PAULI[3], PAULI[0])) / 4.0, "Bloch vectors"),
+    ],
+)
+def test_fidelity_rejects_out_of_range_bare_matrices(bad, reason):
+    # a bare matrix is not validated, so its Pauli expectations are checked
+    # on the way to T, alone and as a member of a stack
+    with pytest.raises(InvalidParametersError, match=reason):
+        teleportation_fidelity(bad)
+    with pytest.raises(InvalidParametersError, match=reason):
+        teleportation_fidelity(np.stack([bell_state("psi-").matrix, bad]))
+
+
+def test_validated_state_fidelity_skips_pauli_decompose(monkeypatch):
+    # validation already bounds every Pauli expectation of a TwoQubitState,
+    # so its fidelity reads T without building a checked BlochForm
+    import entswap.measures as measures_module
+
+    rng = np.random.default_rng(25)
+    states = [TwoQubitState(ginibre_matrix(rng, rank)) for rank in (1, 2, 3, 4)]
+    states += [bell_state("phi+"), make_werner(0.5), make_bell_diagonal((0.5, -0.5, 0.0))]
+    expected = [teleportation_fidelity(state) for state in states]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a validated state went through pauli_decompose")
+
+    monkeypatch.setattr(measures_module, "pauli_decompose", forbidden)
+    assert [teleportation_fidelity(state) for state in states] == expected
+    assert [report(state).fidelity for state in states] == expected
+    with pytest.raises(AssertionError, match="pauli_decompose"):
+        teleportation_fidelity(states[0].matrix)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 4, 4)])
+def test_empty_stacks_give_empty_results(shape):
+    # a stack gives one value per member, so an empty stack gives none
+    empty = np.zeros(shape, dtype=complex)
+    lead = shape[:-2]
+    assert concurrence(empty).shape == lead
+    assert teleportation_fidelity(empty).shape == lead
+    bloch = pauli_decompose(empty)
+    assert (bloch.r.shape, bloch.s.shape, bloch.T.shape) == (lead + (3,), lead + (3,), lead + (3, 3))
+    r = report(empty)
+    assert all(np.shape(value) == lead for value in (r.concurrence, r.fidelity, r.entangled, r.useful_for_teleportation))
+    assert _checked_density_matrix(empty, shape, "stack").shape == shape
 
 
 @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((1, 2), np.inf), (None, np.nan)])

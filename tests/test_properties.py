@@ -18,6 +18,11 @@ A sweep evaluates its chains as stacks with the samples on a leading
 axis.  Every stacked result must equal, bit for bit, the single call on
 each member.  The closed forms take stacks too, one float column per link
 position, and each member must equal its single-chain float.
+
+The swap steps and the fidelity of a validated state are pinned bit for
+bit to earlier routes to the same values: the steps to a frozen copy that
+reads the whole step table (tests/helpers.py), the fidelity to the one
+that goes through pauli_decompose.
 """
 
 import numpy as np
@@ -35,8 +40,12 @@ from entswap import (
     bds_chain_concurrence,
     bds_chain_fidelity,
     bds_final_correlations,
+    bell_state,
     chain_swap,
     concurrence,
+    make_bell_diagonal,
+    make_werner,
+    pauli_decompose,
     swap_once,
     swap_once_perfect,
     swap_once_povm,
@@ -45,7 +54,8 @@ from entswap import (
     werner_chain_fidelity,
 )
 from entswap.states import PAULI, _checked_density_matrix
-from entswap.swap import _chain_matrices
+from entswap.swap import _chain_matrices, _swap_once_matrix, _swap_once_povm_matrix
+from helpers import reference_paper_step, reference_povm_step
 
 _PAIRS = np.array([[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)])
 
@@ -247,3 +257,81 @@ def test_stacked_bds_closed_forms_equal_single_chains(n, data):
     stacked = bds_final_correlations(query).as_tuple()
     for k, component in enumerate(stacked):
         _assert_members_equal(component, [bds_final_correlations(q).as_tuple()[k] for q in singles])
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes, dtypes and bytes: signed zeros must match too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def two_qubit_matrices(draw):
+    """A Ginibre matrix of rank 1..4, or a Bell, Werner or Bell-diagonal matrix.
+
+    The last three hold exact zeros; a drawn flag turns every zero real
+    or imaginary part into -0.0.
+    """
+    kind = draw(st.sampled_from(["ginibre", "bell", "werner", "bds"]))
+    if kind == "ginibre":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return ginibre(rng, draw(st.integers(1, 4)))
+    if kind == "bell":
+        m = bell_state(draw(st.sampled_from(["phi+", "phi-", "psi+", "psi-"]))).matrix.copy()
+    elif kind == "werner":
+        m = make_werner(draw(VISIBILITIES)).matrix.copy()
+    else:
+        m = make_bell_diagonal(draw(tetrahedron_points())).matrix.copy()
+    if draw(st.booleans()):
+        m.real[m.real == 0.0] = -0.0
+        m.imag[m.imag == 0.0] = -0.0
+    return m
+
+
+@PROPERTY_SETTINGS
+@given(two_qubit_matrices())
+def test_validated_fidelity_equals_the_pauli_decompose_route_bit_for_bit(matrix):
+    # a TwoQubitState's fidelity reads T alone, and must give the bits of
+    # the BlochForm route and of the bare matrix, which takes that route
+    state = TwoQubitState(matrix)
+    f = teleportation_fidelity(state)
+    singular = np.linalg.svd(pauli_decompose(state).T, compute_uv=False)
+    assert type(f) is float
+    assert f == float((1.0 + singular.sum(axis=-1) / 3.0) / 2.0)
+    assert f == teleportation_fidelity(state.matrix)
+
+
+_STEPS = {"paper": (_swap_once_matrix, reference_paper_step), "povm": (_swap_once_povm_matrix, reference_povm_step)}
+
+
+@PROPERTY_SETTINGS
+@given(stacked_chains(), st.sampled_from(["paper", "povm"]))
+def test_swap_steps_equal_the_whole_table_reference_bit_for_bit(chain, mode):
+    chains, etas, _ = chain
+    step, reference = _STEPS[mode]
+    links = np.array([[state.matrix for state in column] for column in zip(*chains)])
+    left = links[0]
+    for right, eta in zip(links[1:], etas):
+        out = step(left, right, eta)
+        assert _same_bits(out, reference(left, right, eta))
+        for member, (l, r) in enumerate(zip(left, right)):
+            assert _same_bits(step(l, r, eta), out[member])
+            assert _same_bits(reference(l, r, eta), out[member])
+        left = out
+
+
+@PROPERTY_SETTINGS
+@given(stacked_chains(), st.sampled_from(["paper", "povm"]))
+def test_chain_steps_never_write_into_their_links(chain, mode):
+    # steps finish in place on arrays of their own; bare writable links,
+    # as a stack and as one chain's list, must keep their bytes
+    chains, etas, _ = chain
+    noise = NoiseModel(tuple(etas))
+    links = np.array([[state.matrix for state in column] for column in zip(*chains)])
+    single = [m.copy() for m in links[:, 0]]
+    stack_bytes, single_bytes = links.tobytes(), [m.tobytes() for m in single]
+    assert links.flags.writeable and all(m.flags.writeable for m in single)
+    _chain_matrices(links, noise, mode)
+    _chain_matrices(single, noise, mode)
+    assert links.tobytes() == stack_bytes
+    assert [m.tobytes() for m in single] == single_bytes
