@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import FLAG_MARGIN, _positive_part, concurrence_bds
-from .states import BdsParams, check_visibility
+from .states import BdsParams, _raise_first_failure, check_visibility
 from .swap import NoiseModel
 
 #: Returned by max_entangled_swaps when no number of swaps kills entanglement.
@@ -69,7 +69,7 @@ class WernerChainQuery:
                 # "not within [0, 1]" rather than "beyond it", so NaN fails too
                 outside = ~((0.0 <= p) & (p <= 1.0))
                 if outside.any():
-                    check_visibility(float(p[outside][0]))
+                    _raise_first_failure(check_visibility, p[outside].tolist())
             else:
                 check_visibility(p)
 

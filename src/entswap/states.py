@@ -54,6 +54,17 @@ def _any(mask) -> bool:
     return bool(mask.any() if mask.ndim else mask)
 
 
+def _raise_first_failure(check, members) -> None:
+    """Run ``check`` on each member of a stack alone, in order, until one raises.
+
+    A stack whose check failed calls this, so that it raises what its
+    first bad member raises alone, message included, rather than an error
+    worded from the whole stack.
+    """
+    for member in members:
+        check(member)
+
+
 def _as_matrix(state) -> np.ndarray:
     """Unwrap a state object to its matrix; pass bare arrays through."""
     return np.asarray(getattr(state, "matrix", state), dtype=complex)
@@ -205,8 +216,7 @@ class BdsParams:
         if not bad.any():
             bad = np.minimum.reduce(self.eigenvalues()) < -PSD_TOL
         if bad.any():
-            # the first bad member, as one triple, raises the error it raises alone
-            BdsParams(*(float(c.flat[np.flatnonzero(bad)[0]]) for c in columns))
+            _raise_first_failure(lambda t: BdsParams(*t), zip(*(c[bad].tolist() for c in columns)))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.t1, self.t2, self.t3)
@@ -297,10 +307,22 @@ def pauli_decompose(state) -> BlochForm:
 
     Inverse of :func:`make_general`.  Accepts a TwoQubitState, a bare 4x4
     matrix or a (..., 4, 4) stack, which gives a stack of forms.
+
+    A TwoQubitState's form is built from the same einsum without
+    BlochForm's range checks: validation already bounds every Pauli
+    expectation of such a state.  Its r, s and T are read-only copies of
+    their own.  A bare matrix or stack is checked as every BlochForm is.
     """
     m = _as_matrix(state)
     expectations = np.einsum("kij,...ji->...k", _BLOCH_STACK, m).real
-    return BlochForm(expectations[..., :3], expectations[..., 3:6], expectations[..., 6:])
+    if not isinstance(state, TwoQubitState):
+        return BlochForm(expectations[..., :3], expectations[..., 3:6], expectations[..., 6:])
+    form = object.__new__(BlochForm)
+    for name, values in (("r", expectations[:3]), ("s", expectations[3:6]), ("T", expectations[6:].reshape(3, 3))):
+        field = values.copy()
+        field.flags.writeable = False
+        object.__setattr__(form, name, field)
+    return form
 
 
 def tensor(left: TwoQubitState, right: TwoQubitState) -> FourQubitState:

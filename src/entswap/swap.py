@@ -27,7 +27,10 @@ results.
 
 The kernels take (..., 4, 4) stacks of links, one pair per sample on the
 leading axes; one chain is the case without leading axes.  A sweep
-evaluates its chains as such stacks (:func:`_chain_matrices`).
+evaluates its chains as such stacks (:func:`_chain_matrices`), every eta
+cell of a chain length at once: each node's eta is then a column over a
+leading cell axis, which the links lack until the first step widens them;
+later links are broadcast across it.
 """
 
 from __future__ import annotations
@@ -248,9 +251,11 @@ def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
 # Both steps finish their eta mix and normalization in place, each ufunc
 # taking its operands in the order of the plain expression, such as
 # (eta * perfect + (1 - eta) I_4) / (4 - 3 eta), whose bits they give.
-def _swap_once_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) -> np.ndarray:
+# eta is a float, or a column of cells' etas that broadcasts over the links.
+def _swap_once_matrix(left_m: np.ndarray, right_m: np.ndarray, eta) -> np.ndarray:
     m = _perfect_average(left_m, right_m)
-    np.multiply(eta, m, out=m)
+    # a column of etas widens links that have no cell axis yet into a new array
+    m = np.multiply(eta, m, out=m if getattr(eta, "ndim", 0) <= m.ndim else None)
     m += (1.0 - eta) * _EYE4
     m /= 4.0 - 3.0 * eta
     return m
@@ -261,7 +266,7 @@ def swap_once(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubit
     return chain_swap(ChainSpec((left, right), NoiseModel((eta,))))
 
 
-def _swap_once_povm_matrix(left_m: np.ndarray, right_m: np.ndarray, eta: float) -> np.ndarray:
+def _swap_once_povm_matrix(left_m: np.ndarray, right_m: np.ndarray, eta) -> np.ndarray:
     parts = _bilinear(_STEP_TABLE, left_m, right_m)
     # a new contiguous array: on a stack, ufuncs writing into the strided halves of parts run slower
     m = eta * parts[..., 0, :, :]
@@ -279,17 +284,29 @@ def chain_swap(spec: ChainSpec, mode: str = "paper") -> TwoQubitState:
     return TwoQubitState(_chain_matrices([link.matrix for link in spec.links], spec.noise, mode))
 
 
-def _chain_matrices(links, noise: NoiseModel, mode: str) -> np.ndarray:
+def _chain_matrices(links, noise, mode: str) -> np.ndarray:
     """End-to-end matrices of chains swapped left to right, not yet validated.
 
     ``links[k]`` holds the k-th link of every chain as a (..., 4, 4) stack
     of density matrices; one chain is the case without leading axes.
+    ``noise`` is one NoiseModel, or a sequence of K of one length, the eta
+    cells: node i then reads the (K, 1, ..., 1) column of the cells' eta_i,
+    broadcast over a leading cell axis, and the result is the (K, ..., 4, 4)
+    stack of every cell's matrices.  Each member gets the bits of its cell's
+    chain alone.
     """
     if mode not in ("paper", "povm"):
         raise DomainError(f"mode must be 'paper' or 'povm', got {mode!r}")
     step = _swap_once_matrix if mode == "paper" else _swap_once_povm_matrix
+    if isinstance(noise, NoiseModel):
+        etas = noise.etas
+    else:
+        columns = np.array([cell.etas for cell in noise], dtype=float).T
+        etas = columns.reshape(columns.shape + (1,) * np.ndim(links[0]))
+        # the first step widens the chains to the cell axis; later links are read across it
+        links = list(links[:2]) + [np.broadcast_to(link, (len(noise),) + np.shape(link)) for link in links[2:]]
     state = links[0]
-    for node, (link, eta) in enumerate(zip(links[1:], noise.etas, strict=True), start=1):
+    for node, (link, eta) in enumerate(zip(links[1:], etas, strict=True), start=1):
         try:
             state = step(state, link, eta)
         except EntswapError as exc:

@@ -8,10 +8,14 @@ the Cartesian product of per-link visibility grids for the Werner family,
 and one shared correlation triple per grid point (identical links) for the
 Bell-diagonal family.
 
-The links of each (sample, n) are drawn or enumerated once, CHUNK_SIZE
-samples at a time, and every eta cell of that n evaluates the chunk as one
-stack through _evaluate_chains.  A single chain (evaluate_chain) is the
-stack of one.  Each cell's records are built from the stack's columns.
+The links of each (sample, n) are drawn or enumerated once, a chunk of
+samples at a time, and every eta cell of that n reads the chunk through
+_evaluate_chains.  The closed forms take CHUNK_SIZE samples and evaluate
+them once per cell.  On the oracle all cells of an n are one stack of at
+most CHUNK_SIZE chains (cells x samples): a chunk holds CHUNK_SIZE // cells
+samples, and each node's eta is a column over the cells.  A single chain
+(evaluate_chain) is the stack of one chain in one cell.  Each cell's
+records are built from its row of the stack's results.
 ENTSWAP_THREADS must be an integer if set, but it selects nothing.
 """
 
@@ -34,13 +38,14 @@ from .closedform import (
     werner_chain_concurrence,
     werner_chain_fidelity,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidStateError
 from .measures import concurrence, concurrence_bds, concurrence_werner, flags, teleportation_fidelity
 from .states import (
     BdsParams,
     TwoQubitState,
     WernerParams,
     _checked_density_matrix,
+    _raise_first_failure,
     bell_weights,
     make_bell_diagonal,
     make_werner,
@@ -64,9 +69,9 @@ ETA_GRID_DEFAULT = tuple(round(0.1 * k, 1) for k in range(11))
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 _MAX_REJECTIONS = 1_000_000
 
-#: Samples drawn as one stack and evaluated by every eta cell of their n; it
-#: bounds the stacks' memory (about 8 MiB for a swap step of either mode)
-#: whatever sample_count is.
+#: Chains in one stack: samples of a closed-form chunk, or cells x samples of
+#: an oracle stack.  It bounds the stacks' memory (about 8 MiB for a swap
+#: step of either mode) whatever sample_count and the number of cells are.
 CHUNK_SIZE = 1024
 
 
@@ -288,32 +293,53 @@ def evaluate_chain(family: str, engine: str, swap_mode: str, link_params, etas):
     """
     noise = NoiseModel(tuple(etas))
     links = _link_stack(family, engine, [link_params], None)
-    c_out, f_out, final = _evaluate_chains(family, engine, swap_mode, noise, links)
+    c_out, f_out, final = _evaluate_chains(family, engine, swap_mode, [noise], links)
+    c_out, f_out = float(c_out[0, 0]), float(f_out[0, 0])
     if final is not None:
-        return float(c_out[0]), float(f_out[0]), final[0]
+        return c_out, f_out, final[0, 0]
     ts = tuple(BdsParams(-p.p, -p.p, -p.p) for p in link_params) if family == "werner" else tuple(link_params)
     state = make_bell_diagonal(bds_final_correlations(BdsChainQuery(ts, noise)))
-    return float(c_out[0]), float(f_out[0]), state.matrix
+    return c_out, f_out, state.matrix
 
 
-def _evaluate_chains(family: str, engine: str, swap_mode: str, noise: NoiseModel, links):
-    """(c_out, f_out, final) of a stack of N chains of one length.
+def _evaluate_chains(family: str, engine: str, swap_mode: str, cells, links):
+    """(c_out, f_out, final) of a stack of N chains of one length, in K eta cells.
 
-    ``links`` is the stack that :func:`_link_stack` builds for the engine.
-    c_out and f_out are (N,) arrays on both engines.  The closedform
-    engine calls each closed form once on one query, which computes the
-    stack's final parameters once; the oracle runs every swap step on the
-    whole stack.  ``final`` is the (N, 4, 4) stack of validated
-    end-to-end matrices, or None on the closedform engine.
+    ``cells`` holds the K cells' NoiseModels and ``links`` the stack that
+    :func:`_link_stack` builds for the engine.  c_out and f_out are (K, N)
+    arrays on both engines, row k holding cell k.  The closedform engine
+    calls each closed form once per cell on one query, which computes the
+    stack's final parameters once.  The oracle runs every swap step once on
+    the stack of all K * N chains, each node's eta a column over the cells,
+    and validates and measures that stack once; a failing validation raises
+    what the first failing cell raises alone.  Cells beyond CHUNK_SIZE
+    chains go to further stacks.  ``final`` is the (K, N, 4, 4) stack of
+    validated end-to-end matrices, or None on the closedform engine.
     """
     if engine == "closedform":
         if family == "werner":
-            query = WernerChainQuery(links, noise)
-            return werner_chain_concurrence(query), werner_chain_fidelity(query), None
-        query = BdsChainQuery(links, noise)
-        return bds_chain_concurrence(query), bds_chain_fidelity(query), None
-    _check_chain(noise, len(links))
-    final = _checked_density_matrix(_chain_matrices(links, noise, swap_mode), links.shape[1:], "two-qubit state")
+            query, c_of, f_of = WernerChainQuery, werner_chain_concurrence, werner_chain_fidelity
+        else:
+            query, c_of, f_of = BdsChainQuery, bds_chain_concurrence, bds_chain_fidelity
+        queries = [query(links, noise) for noise in cells]
+        return np.array([c_of(q) for q in queries]), np.array([f_of(q) for q in queries]), None
+    per_stack = max(1, CHUNK_SIZE // links.shape[1])
+    if len(cells) > per_stack:
+        # more cells than a stack of CHUNK_SIZE chains holds go per_stack at a time
+        parts = [
+            _evaluate_chains(family, engine, swap_mode, cells[k:k + per_stack], links)
+            for k in range(0, len(cells), per_stack)
+        ]
+        return tuple(np.concatenate(results) for results in zip(*parts))
+    for noise in cells:
+        _check_chain(noise, len(links))
+    matrices = _chain_matrices(links, cells, swap_mode)
+    try:
+        final = _checked_density_matrix(matrices, (len(cells),) + links.shape[1:], "two-qubit state")
+    except InvalidStateError:
+        # a stack's defect and worst eigenvalue are taken over every cell
+        _raise_first_failure(lambda m: _checked_density_matrix(m, m.shape, "two-qubit state"), matrices)
+        raise
     return concurrence(final), teleportation_fidelity(final), final
 
 
@@ -404,9 +430,9 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
 
     Records are grouped by cell in plan order and sorted by sample index
     inside each cell.  Identical configs produce identical records.  The
-    links of each (sample, n) are drawn or enumerated once, CHUNK_SIZE
-    samples at a time, and every eta cell of that n reads them, so those
-    cells' records share link objects.
+    links of each (sample, n) are drawn or enumerated once, a chunk at a
+    time, and every eta cell of that n reads them, so those cells' records
+    share link objects.
     """
     plan = _plan(config)
     _check_thread_setting()
@@ -417,31 +443,35 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     for n, n_cells in groupby(plan, key=lambda cell: cell[0]):
         # each cell's summary entry is counted from its flag columns as the chunks come
         n_cells = [
-            (etas, NoiseModel(etas), [], {"n": n, "eta": eta_label, "samples": 0, "entangled": 0, "useful": 0})
+            (etas, [], {"n": n, "eta": eta_label, "samples": 0, "entangled": 0, "useful": 0})
             for _, eta_label, etas in n_cells
         ]
+        noises = [NoiseModel(etas) for etas, _, _ in n_cells]
+        # an oracle chunk is one stack for all its cells: at most CHUNK_SIZE chains, whatever the cells
+        chunk_size = max(1, CHUNK_SIZE // len(n_cells)) if config.engine == "oracle" else CHUNK_SIZE
         samples = enumerate(link_source(config, n))
-        while chunk := list(islice(samples, CHUNK_SIZE)):
+        while chunk := list(islice(samples, chunk_size)):
             indices, sampled = zip(*chunk)
             params, states, c_in = zip(*sampled)
             links = _link_stack(config.family, config.engine, params, states)
             if config.family == "general":
                 c_in = [tuple(c) for c in concurrence(links).T.tolist()]
-            for etas, noise, cell_records, cell in n_cells:
-                c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noise, links)
-                entangled, useful = flags(c_out, f_out)
-                cell["entangled"] += int(np.count_nonzero(entangled))
-                cell["useful"] += int(np.count_nonzero(useful))
+            c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noises, links)
+            entangled, useful = flags(c_out, f_out)
+            rows = zip(n_cells, c_out, f_out, entangled, useful)
+            for (etas, cell_records, cell), c_row, f_row, e_row, u_row in rows:
+                cell["entangled"] += int(np.count_nonzero(e_row))
+                cell["useful"] += int(np.count_nonzero(u_row))
                 # tolist() makes each zero its own float object; one shared 0.0 (no c_out
                 # is -0.0) saves 2.5 MiB on a 1.1e5-record grid whose c_out are almost all 0
-                c_out = [c or 0.0 for c in c_out.tolist()]
+                c_row = [c or 0.0 for c in c_row.tolist()]
                 cell_records += [
                     SweepRecord(index, config.family, n, link_params, etas, c, c_o, f_o, e, u)
                     for index, link_params, c, c_o, f_o, e, u in zip(
-                        indices, params, c_in, c_out, f_out.tolist(), entangled.tolist(), useful.tolist()
+                        indices, params, c_in, c_row, f_row.tolist(), e_row.tolist(), u_row.tolist()
                     )
                 ]
-        for _, _, cell_records, cell in n_cells:
+        for _, cell_records, cell in n_cells:
             records.extend(cell_records)
             cell["samples"] = len(cell_records)
             cells.append(cell)
@@ -461,14 +491,18 @@ def _format_etas(etas) -> str:
     return ";".join(_fmt(e) for e in etas)
 
 
+#: A general link's text: its 15 Bloch values in one %-format, whose %.12g
+#: prints each float as _fmt does.
+_GENERAL_LINK = "(" + ",".join(["%.12g"] * 15) + ")"
+
+
 def _format_link(family: str, params) -> str:
     if family == "werner":
         return _fmt(params.p)
     if family == "bds":
         return "(" + ",".join(_fmt(v) for v in params.as_tuple()) + ")"
     # Python floats format like numpy scalars and are cheaper to format
-    values = params.r.tolist() + params.s.tolist() + params.T.ravel().tolist()
-    return "(" + ",".join(_fmt(v) for v in values) + ")"
+    return _GENERAL_LINK % (*params.r.tolist(), *params.s.tolist(), *params.T.ravel().tolist())
 
 
 #: Entries a write_csv memo holds before it starts afresh: above the about

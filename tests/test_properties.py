@@ -15,8 +15,9 @@ joined from the right scales it only at the joining node.  The package
 evaluates chains left to right.
 
 A sweep evaluates its chains as stacks with the samples on a leading
-axis.  Every stacked result must equal, bit for bit, the single call on
-each member.  The closed forms take stacks too, one float column per link
+axis, and the oracle puts every eta cell of a chain length on one more.
+Every stacked result must equal, bit for bit, the single call on each
+member, and each cell its evaluation alone.  The closed forms take stacks too, one float column per link
 position, and each member must equal its single-chain float.
 
 The swap steps and the fidelity of a validated state are pinned bit for
@@ -55,6 +56,7 @@ from entswap import (
 )
 from entswap.states import PAULI, _checked_density_matrix
 from entswap.swap import _chain_matrices, _swap_once_matrix, _swap_once_povm_matrix
+from entswap.sweep import _evaluate_chains
 from helpers import reference_paper_step, reference_povm_step
 
 _PAIRS = np.array([[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)])
@@ -335,3 +337,52 @@ def test_chain_steps_never_write_into_their_links(chain, mode):
     _chain_matrices(single, noise, mode)
     assert links.tobytes() == stack_bytes
     assert [m.tobytes() for m in single] == single_bytes
+
+
+@st.composite
+def stacked_cells(draw):
+    """(links, cells, clamp): a links[k, j] stack of 1..5 chains and the etas of 1..4 cells.
+
+    Each cell is one per-node eta list; the sweep's cells of one eta are
+    the lists whose entries are equal.  With ``clamp`` set, chain
+    ``clamp[0]`` starts with a link pushed below zero and continues with
+    phi+ links, and cell ``clamp[1]`` has eta 1 at every node, so its
+    member of that chain keeps the negative eigenvalue and takes the PSD
+    clamp of the final validation.
+    """
+    chains, _, rng = draw(stacked_chains())
+    n = len(chains[0]) - 1
+    count = draw(st.integers(1, 4))
+    node_etas = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    cells = draw(st.lists(
+        st.lists(node_etas, min_size=n, max_size=n) | node_etas.map(lambda eta: [eta] * n),
+        min_size=count, max_size=count,
+    ))
+    links = np.array([[state.matrix for state in column] for column in zip(*chains)])
+    clamp = None
+    if draw(st.booleans()):
+        clamp = (draw(st.integers(0, len(chains) - 1)), draw(st.integers(0, count - 1)))
+        links[0, clamp[0]] = below_zero(rng)
+        links[1:, clamp[0]] = bell_state("phi+").matrix
+        cells[clamp[1]] = [1.0] * n
+    return links, cells, clamp
+
+
+@PROPERTY_SETTINGS
+@given(stacked_cells(), st.sampled_from(["paper", "povm"]))
+def test_stacked_cells_equal_single_cell_evaluations_bit_for_bit(stack, mode):
+    # every eta cell of a sweep's n is one stack with a leading cell axis;
+    # each cell must get the bits of its own evaluation on the chains alone
+    links, cells, clamp = stack
+    noises = [NoiseModel(tuple(etas)) for etas in cells]
+    c_out, f_out, finals = _evaluate_chains("general", "oracle", mode, noises, links)
+    assert c_out.shape == f_out.shape == (len(cells), links.shape[1])
+    assert finals.shape == (len(cells),) + links.shape[1:]
+    for k, noise in enumerate(noises):
+        raw = _chain_matrices(links, noise, mode)
+        if clamp is not None and k == clamp[1]:
+            assert np.linalg.eigvalsh(raw[clamp[0]])[0] < 0.0
+        final = _checked_density_matrix(raw, links.shape[1:], "two-qubit state")
+        assert _same_bits(finals[k], final)
+        assert _same_bits(c_out[k], concurrence(final))
+        assert _same_bits(f_out[k], teleportation_fidelity(final))

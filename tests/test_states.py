@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entswap import (
     BdsParams,
@@ -7,6 +9,7 @@ from entswap import (
     DomainError,
     InvalidParametersError,
     InvalidStateError,
+    TwoQubitState,
     WernerParams,
     apply_local,
     bell_state,
@@ -19,7 +22,7 @@ from entswap import (
     tensor,
     validate,
 )
-from helpers import brute_min_eigenvalue, ginibre_matrix
+from helpers import brute_min_eigenvalue, ginibre_matrix, random_tetrahedron_point
 
 EYE4 = np.eye(4) / 4
 
@@ -362,3 +365,73 @@ def test_single_state_holds_one_matrix():
 def test_bds_params_reject_non_finite(triple):
     with pytest.raises(InvalidParametersError):
         BdsParams(*triple)
+
+
+def _signed_zeros(m, negative):
+    """m with every zero real or imaginary part turned into -0.0 when ``negative`` is set."""
+    m = m.copy()
+    if negative:
+        m.real[m.real == 0.0] = -0.0
+        m.imag[m.imag == 0.0] = -0.0
+    return m
+
+
+def _unit_ket(vector):
+    """The qubit ket whose Bloch vector is the unit vector along ``vector``."""
+    x, y, z = np.asarray(vector) / np.linalg.norm(vector)
+    theta, phi = np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)
+    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+
+@st.composite
+def validated_states(draw):
+    """A TwoQubitState: Ginibre of rank 1..4, a product of pure qubits, or a Bell, Werner or BDS state.
+
+    Products have |r| = |s| = 1 up to rounding.  The last three hold
+    exact zeros, which a drawn flag turns into -0.0.
+    """
+    kind = draw(st.sampled_from(["ginibre", "product", "bell", "werner", "bds"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ginibre":
+        return TwoQubitState(ginibre_matrix(rng, draw(st.integers(1, 4))))
+    if kind == "product":
+        axes = st.sampled_from([(1, 0, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+        left, right = (draw(axes | st.just(tuple(rng.normal(size=3)))) for _ in range(2))
+        ket = np.kron(_unit_ket(left), _unit_ket(right))
+        return TwoQubitState(np.outer(ket, ket.conj()))
+    if kind == "bell":
+        m = bell_state(draw(st.sampled_from(["phi+", "phi-", "psi+", "psi-"]))).matrix
+    elif kind == "werner":
+        m = make_werner(draw(st.sampled_from([0.0, 1 / 3, 1.0]) | st.floats(0.0, 1.0))).matrix
+    else:
+        special = st.sampled_from([(0.0, -0.0, 0.0), (1.0, -1.0, 1.0), (-1 / 3, -1 / 3, -1 / 3)])
+        m = make_bell_diagonal(draw(special | st.just(random_tetrahedron_point(rng)))).matrix
+    return TwoQubitState(_signed_zeros(m, draw(st.booleans())))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(validated_states())
+def test_validated_decomposition_equals_the_checked_route(state):
+    # a TwoQubitState's form skips BlochForm's range checks; its fields must
+    # hold the checked route's bits, each an owned, read-only copy
+    fast, checked = pauli_decompose(state), pauli_decompose(state.matrix)
+    assert isinstance(fast, BlochForm)
+    fields = [(fast.r, checked.r, (3,)), (fast.s, checked.s, (3,)), (fast.T, checked.T, (3, 3))]
+    for value, expected, shape in fields:
+        assert value.shape == shape and value.dtype == np.float64
+        assert value.tobytes() == expected.tobytes()
+        assert not value.flags.writeable
+        assert value.base is None and value.flags.owndata
+    arrays = [fast.r, fast.s, fast.T, state.matrix]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def test_bare_matrices_and_stacks_keep_the_range_checks():
+    # out of range: r_3 = 3 on one matrix, and a trace-2 member of a stack
+    with pytest.raises(InvalidParametersError):
+        pauli_decompose(np.diag([2.0, 0.0, 0.0, -1.0]).astype(complex))
+    bell = bell_state("psi-").matrix
+    with pytest.raises(InvalidParametersError):
+        pauli_decompose(np.array([bell, bell, 2.0 * bell]))
+    with pytest.raises(InvalidParametersError):
+        pauli_decompose(np.full((4, 4), np.nan, dtype=complex))

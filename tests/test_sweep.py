@@ -19,6 +19,7 @@ from entswap import (
     ChainSpec,
     ConfigError,
     EntswapError,
+    InvalidStateError,
     NoiseModel,
     SweepConfig,
     SweepRecord,
@@ -660,6 +661,29 @@ def test_csv_matches_csv_writer_on_any_records(tmp_path, records):
     assert _first_wrong_row(path, records) is None
 
 
+# zeros of both signs, subnormals, +-1 and values that %.12g prints in exponent form
+_LINK_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1e-5, -2.5e-7, 1.234567890123e-300, 0.1, -1 / 3]
+) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _bloch_forms(draw):
+    """A BlochForm whose 15 values are drawn from _LINK_VALUES, its Bloch vectors within the unit ball."""
+    vector = st.lists(_LINK_VALUES, min_size=3, max_size=3).filter(lambda v: math.hypot(*v) <= 1.0)
+    return BlochForm(np.array(draw(vector)), np.array(draw(vector)),
+                     np.array(draw(st.lists(_LINK_VALUES, min_size=9, max_size=9))).reshape(3, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_bloch_forms())
+def test_general_link_text_is_the_per_value_join(form):
+    # one %-format of the 15 values must print each as _fmt does
+    values = form.r.tolist() + form.s.tolist() + form.T.ravel().tolist()
+    expected = "(" + ",".join(sweep_module._fmt(v) for v in values) + ")"
+    assert sweep_module._format_link("general", form) == expected
+
+
 def test_csv_reads_its_input_once(tmp_path):
     # a generator of records writes what the list writes
     records, _ = run_sweep(SweepConfig(family="bds", sample_count=20, n_repeaters=[1, 2],
@@ -850,6 +874,131 @@ def test_oracle_sweep_across_a_chunk_boundary_matches_single_chains(swap_mode, f
         final = chain_swap(ChainSpec(links, NoiseModel(etas)), mode=swap_mode)
         assert record.c_in == tuple(map(c_link, params, links))
         assert (record.c_out, record.f_out) == (concurrence(final), teleportation_fidelity(final))
+
+
+@pytest.mark.parametrize("swap_mode", ["paper", "povm"])
+def test_multi_cell_general_oracle_sweep_across_chunks_matches_single_chains(swap_mode):
+    # all eta cells of an n are evaluated as one stack, so three cells of
+    # CHUNK_SIZE + 3 samples cross several chunks; each record must equal,
+    # bit for bit, the single-chain calls on its sample's links with its
+    # own cell's per-node etas
+    count = sweep_module.CHUNK_SIZE + 3
+    cells = [(0.9, 0.8), (1.0, 0.0), (0.7, 1.0)]
+    config = SweepConfig(
+        family="general", sample_count=count, n_repeaters=2, eta_spec=[list(etas) for etas in cells],
+        seed=13, engine="oracle", swap_mode=swap_mode,
+    )
+    records, summary = run_sweep(config)
+    assert [(r.etas, r.index) for r in records] == [(etas, index) for etas in cells for index in range(count)]
+    assert [cell["samples"] for cell in summary["cells"]] == [count] * len(cells)
+    links = {}
+    for record in records:
+        if record.index not in links:
+            rng = link_generator(config.seed, record.index)
+            links[record.index] = [sample_state("general", rng)[1] for _ in range(3)]
+        final = chain_swap(ChainSpec(links[record.index], NoiseModel(record.etas)), mode=swap_mode)
+        assert record.c_in == tuple(map(concurrence, links[record.index]))
+        assert (record.c_out, record.f_out) == (concurrence(final), teleportation_fidelity(final))
+
+
+def _chains_per_stack(monkeypatch):
+    """Record the chains of every stacked oracle evaluation: cells times samples."""
+    sizes = []
+    chain_matrices = sweep_module._chain_matrices
+
+    def counting(links, cells, mode):
+        sizes.append(len(cells) * links.shape[1])
+        return chain_matrices(links, cells, mode)
+
+    monkeypatch.setattr(sweep_module, "_chain_matrices", counting)
+    return sizes
+
+
+def test_oracle_sweep_memory_does_not_grow_with_eta_cells(monkeypatch):
+    # every stack holds at most CHUNK_SIZE chains, so what a sweep allocates
+    # and frees again (its peak above the records it keeps) is no larger for
+    # 8 cells than for 2; a stack of every cell's CHUNK_SIZE samples is 4x
+    def transient(cells):
+        config = SweepConfig(
+            family="general", sample_count=sweep_module.CHUNK_SIZE, n_repeaters=2,
+            eta_spec=[0.5 + 0.05 * k for k in range(cells)], seed=19, engine="oracle", swap_mode="povm",
+        )
+        tracemalloc.start()
+        try:
+            records, _ = run_sweep(config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == cells * config.sample_count
+        return peak - kept
+
+    sizes = _chains_per_stack(monkeypatch)
+    # first-call allocations are not the sweep's
+    run_sweep(SweepConfig(family="general", sample_count=2, n_repeaters=2, engine="oracle", swap_mode="povm"))
+    two, eight = transient(2), transient(8)
+    assert sizes and max(sizes) == sweep_module.CHUNK_SIZE
+    assert eight <= 1.1 * two
+
+
+def test_more_eta_cells_than_a_stack_holds(monkeypatch):
+    # CHUNK_SIZE + 6 cells take each sample alone, in two stacks; the
+    # cells must still equal their single-eta sweeps
+    etas = [k / (sweep_module.CHUNK_SIZE + 5) for k in range(sweep_module.CHUNK_SIZE + 6)]
+    base = dict(family="general", sample_count=2, n_repeaters=1, seed=37, engine="oracle", swap_mode="povm")
+    sizes = _chains_per_stack(monkeypatch)
+    records, summary = run_sweep(SweepConfig(**base, eta_spec=etas))
+    assert sizes == [sweep_module.CHUNK_SIZE, 6] * 2
+    assert len(summary["cells"]) == len(etas)
+    for k in (0, sweep_module.CHUNK_SIZE // 2 - 1, sweep_module.CHUNK_SIZE // 2, len(etas) - 1):
+        single, _ = run_sweep(SweepConfig(**base, eta_spec=etas[k]))
+        assert [_record_fields(r) for r in records[2 * k:2 * k + 2]] == [_record_fields(r) for r in single]
+
+
+def _with_defect(m, defect, size):
+    """A copy of the 4x4 matrix m with one defect of the given size."""
+    m = m.copy()
+    if defect == "hermiticity":
+        m[0, 1] += size
+    elif defect == "trace":
+        m[0, 0] += size
+    else:
+        m[:] = np.diag([0.5 + size, 0.5, 0.0, -size])
+    return m
+
+
+@pytest.mark.parametrize("second, third", [
+    (("hermiticity", 1e-9), ("hermiticity", 1e-6)),
+    (("negative", 1e-9), ("negative", 1e-6)),
+    (("trace", 1e-6), ("hermiticity", 1e-3)),
+    (("negative", 1e-8), ("trace", 1e-3)),
+])
+def test_failing_stacked_cells_raise_the_first_failing_cells_error(monkeypatch, second, third):
+    # the second and third eta cells end in bad members with different
+    # defects; the sweep must raise what the second cell raises alone, not
+    # an error worded from the whole stack
+    from entswap.states import _checked_density_matrix
+
+    chain_matrices = sweep_module._chain_matrices
+    expected = []
+
+    def scripted(links, cells, mode):
+        out = chain_matrices(links, cells, mode).copy()
+        out[1, 3] = _with_defect(out[1, 3], *second)
+        out[2, 1] = _with_defect(out[2, 1], *third)
+        for cell in out:
+            try:
+                _checked_density_matrix(cell, cell.shape, "two-qubit state")
+            except InvalidStateError as exc:
+                expected.append(str(exc))
+        return out
+
+    monkeypatch.setattr(sweep_module, "_chain_matrices", scripted)
+    config = SweepConfig(family="general", sample_count=6, n_repeaters=1, eta_spec=[0.7, 0.9, 1.0], seed=5,
+                         engine="oracle")
+    with pytest.raises(InvalidStateError) as raised:
+        run_sweep(config)
+    assert len(expected) == 2 and expected[0] != expected[1]
+    assert str(raised.value) == expected[0]
 
 
 @pytest.mark.parametrize("family", ["werner", "bds"])
