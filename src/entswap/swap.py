@@ -94,9 +94,8 @@ def _bilinear(table: np.ndarray, left_m: np.ndarray, right_m: np.ndarray) -> np.
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
-    """Divide each (..., 4, 4) member of m by its own trace, in place; returns m."""
-    m /= m.trace(axis1=-2, axis2=-1).real[..., None, None]
-    return m
+    """Each (..., 4, 4) member of m divided by its own trace."""
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _check_eta(eta: float) -> float:
@@ -217,8 +216,7 @@ _PERFECT_TABLE = np.ascontiguousarray(_STEP_TABLE.reshape(16, 16, 2, 16)[:, :, 0
 def _perfect_average(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
     """The perfect swap averaged over its four corrected outcomes, normalized.
 
-    It reads only the perfect half of the step table, and returns a new
-    array of its own.
+    It reads only the perfect half of the step table.
     """
     return _normalize(_bilinear(_PERFECT_TABLE, left_m, right_m)[..., 0, :, :])
 
@@ -248,17 +246,9 @@ def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
     return SwapResult(outcomes, averaged, averaged)
 
 
-# Both steps finish their eta mix and normalization in place, each ufunc
-# taking its operands in the order of the plain expression, such as
-# (eta * perfect + (1 - eta) I_4) / (4 - 3 eta), whose bits they give.
 # eta is a float, or a column of cells' etas that broadcasts over the links.
 def _swap_once_matrix(left_m: np.ndarray, right_m: np.ndarray, eta) -> np.ndarray:
-    m = _perfect_average(left_m, right_m)
-    # a column of etas widens links that have no cell axis yet into a new array
-    m = np.multiply(eta, m, out=m if getattr(eta, "ndim", 0) <= m.ndim else None)
-    m += (1.0 - eta) * _EYE4
-    m /= 4.0 - 3.0 * eta
-    return m
+    return (eta * _perfect_average(left_m, right_m) + (1.0 - eta) * _EYE4) / (4.0 - 3.0 * eta)
 
 
 def swap_once(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubitState:
@@ -268,10 +258,7 @@ def swap_once(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubit
 
 def _swap_once_povm_matrix(left_m: np.ndarray, right_m: np.ndarray, eta) -> np.ndarray:
     parts = _bilinear(_STEP_TABLE, left_m, right_m)
-    # a new contiguous array: on a stack, ufuncs writing into the strided halves of parts run slower
-    m = eta * parts[..., 0, :, :]
-    m += (1.0 - eta) * parts[..., 1, :, :]
-    return _normalize(m)
+    return _normalize(eta * parts[..., 0, :, :] + (1.0 - eta) * parts[..., 1, :, :])
 
 
 def swap_once_povm(left: TwoQubitState, right: TwoQubitState, eta: float) -> TwoQubitState:

@@ -591,16 +591,9 @@ def write_csv(records, path) -> None:
 
 
 def round_floats(obj):
-    """Round floats to 12 significant digits, recursively; tuples become lists.
-
-    Numpy scalars are converted to plain Python types on the way.
-    """
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
+    """Round floats to 12 significant digits, recursively; tuples become lists."""
+    if isinstance(obj, float):
         return float(f"{obj:.12g}")
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

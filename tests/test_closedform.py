@@ -291,6 +291,14 @@ def test_max_entangled_swaps_matches_chain_concurrence():
         assert werner_chain_concurrence(wq((p,) * (lost + 1), (eta,) * lost)) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [1.0 - 1e-13, 1.0 - 3e-14])
+def test_max_entangled_swaps_steps_down_from_its_seed(p):
+    # this close to p = 1 the search starts 8 and 31 swaps above the answer
+    n = max_entangled_swaps(1.0, p)
+    assert closedform_module._entangled_after(n, 1.0, p)
+    assert not closedform_module._entangled_after(n + 1, 1.0, p)
+
+
 def test_max_entangled_swaps_domain():
     with pytest.raises(DomainError):
         max_entangled_swaps(0.0, 1.0)
@@ -401,3 +409,17 @@ def test_a_query_computes_its_final_once(monkeypatch, case):
     fidelity_of(query)
     assert final_of(query) is first
     assert len(calls) == 1
+
+
+def test_queries_take_a_plain_tuple_of_etas():
+    ps, etas = (0.9, 0.8, 0.95), (0.9, 0.7)
+    ts = (BdsParams(0.8, -0.6, 0.5), BdsParams(0.7, -0.7, 0.6), BdsParams(1.0, -1.0, 1.0))
+    werner, bds = WernerChainQuery(ps, etas), BdsChainQuery(ts, etas)
+    assert werner.etas == bds.etas == NoiseModel(etas)
+    assert werner.final == WernerChainQuery(ps, NoiseModel(etas)).final
+    assert bds.final.as_tuple() == BdsChainQuery(ts, NoiseModel(etas)).final.as_tuple()
+    for bad in ((0.9, 1.5), (-0.1, 0.9), (0.9, float("nan"))):
+        with pytest.raises(DomainError):
+            WernerChainQuery(ps, bad)
+        with pytest.raises(DomainError):
+            BdsChainQuery(ts, bad)

@@ -339,6 +339,11 @@ def test_chain_single_node_matches_swap_once():
     )
 
 
+def test_chain_spec_counts_its_repeaters():
+    links = tuple(make_werner(0.9) for _ in range(4))
+    assert ChainSpec(links, NoiseModel((0.9, 1.0, 0.8))).n_repeaters == 3
+
+
 def test_chain_werner_perfect_two_nodes():
     links = tuple(make_werner(0.9) for _ in range(3))
     out = chain_swap(ChainSpec(links, NoiseModel((1.0, 1.0))))

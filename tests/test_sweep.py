@@ -220,6 +220,84 @@ def test_zero_heavy_sweeps_keep_their_bytes(tmp_path, name):
     assert digests == (csv_digest, summary_digest)
 
 
+# sha256 of the CSV and summary of three oracle sweeps, with their record counts: a general
+# povm sweep whose cells include eta 0 and 1, a Werner paper grid of per-node eta lists and a
+# Bell-diagonal povm sweep
+_GOLDEN_ORACLE_SWEEPS = {
+    "general-povm": (
+        SweepConfig(family="general", sample_count=25, n_repeaters=[1, 3], eta_spec=[0.0, 0.6, 1.0], seed=29,
+                    entangled_inputs_only=True, engine="oracle", swap_mode="povm"),
+        225,
+        "b8c1f97ce8853f386efcd3684e2111b5f8c6407943cca51bb926a7e6466c12a8",
+        "8cd36150a95c9f208c94a38ea16a7a14180662faffc62995d4b5ec64f4ddae9b",
+    ),
+    "werner-per-node": (
+        SweepConfig(family="werner", mode="grid", grid_steps=5, n_repeaters=2,
+                    eta_spec=[[0.9, 1.0], [1.0, 0.0], [0.95, 0.8]], entangled_inputs_only=True, engine="oracle"),
+        192,
+        "a8e31338e6b71367f6e1417c5a0958263dd734540c15d2e28c701e2386b75be5",
+        "8328c732fce58be5cc1aebd91c1624e48d861187d0b96c96d274c7f60ff9f3ca",
+    ),
+    "bds-povm": (
+        SweepConfig(family="bds", sample_count=40, n_repeaters=[1, 2], eta_spec=[0.5, 0.85, 1.0], seed=37,
+                    entangled_inputs_only=True, engine="oracle", swap_mode="povm"),
+        240,
+        "674c55b404279c944d353b60b1e820e415a60afae70ed98e873155aecd41c379",
+        "a363573a5de0bda722bfb43180304f64aa99d4b1077d1e958472b012c8e962b7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_ORACLE_SWEEPS))
+def test_oracle_sweeps_keep_their_bytes(tmp_path, name):
+    config, count, csv_digest, summary_digest = _GOLDEN_ORACLE_SWEEPS[name]
+    records, summary = run_sweep(config)
+    assert len(records) == count
+    write_csv(records, tmp_path / "sweep.csv")
+    write_summary_json(summary, tmp_path / "summary.json")
+    digests = tuple(
+        hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in ("sweep.csv", "summary.json")
+    )
+    assert digests == (csv_digest, summary_digest)
+
+
+@pytest.mark.parametrize("eta_spec", [[2.0 / 3.0, 0.1 + 0.7, 1.0], 0.1 + 0.2])
+def test_numpy_float_etas_write_the_plain_float_bytes(tmp_path, eta_spec):
+    # np.float64 is a float: the summary echoes numpy etas rounded to 12 digits, as it echoes plain ones
+    numpy_spec = [np.float64(eta) for eta in eta_spec] if isinstance(eta_spec, list) else np.float64(eta_spec)
+    written = []
+    for spec in (eta_spec, numpy_spec):
+        config = SweepConfig(family="bds", sample_count=20, n_repeaters=[1, 2], eta_spec=spec, seed=6,
+                             engine="oracle", swap_mode="povm")
+        records, summary = run_sweep(config)
+        write_csv(records, tmp_path / "sweep.csv")
+        write_summary_json(summary, tmp_path / "summary.json")
+        written.append([(tmp_path / file).read_bytes() for file in ("sweep.csv", "summary.json")])
+    assert written[0] == written[1]
+
+
+def test_record_c_in_prod_is_the_csv_field(tmp_path):
+    # write_csv computes the product inline; the property must give the same text
+    config = SweepConfig(family="bds", sample_count=20, n_repeaters=[1, 3], eta_spec=0.9, seed=12,
+                         entangled_inputs_only=True)
+    records, _ = run_sweep(config)
+    write_csv(records, tmp_path / "sweep.csv")
+    with open(tmp_path / "sweep.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [f"{r.c_in_prod:.12g}" for r in records] == [row["c_in_prod"] for row in rows]
+
+
+def test_grid_mode_rejects_a_sample_count():
+    config = SweepConfig(family="werner", mode="grid", grid_steps=3, sample_count=5)
+    with pytest.raises(ConfigError, match="sample_count is only valid in random mode"):
+        run_sweep(config)
+
+
+def test_sample_state_rejects_an_unknown_family():
+    with pytest.raises(ConfigError, match="unknown family"):
+        sample_state("ising", link_generator(0, 0))
+
+
 def test_run_sweep_is_deterministic():
     config = SweepConfig(
         family="werner", mode="random", sample_count=50, n_repeaters=2,
