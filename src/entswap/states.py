@@ -192,15 +192,17 @@ class BdsParams:
     t3: float | np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.t1, np.ndarray):
+        t1, t2, t3 = self.t1, self.t2, self.t3
+        if isinstance(t1, np.ndarray):
             self._check_stack()
             return
-        if not all(math.isfinite(t) for t in self.as_tuple()):
-            raise InvalidParametersError(f"correlations {self.as_tuple()} must be finite")
-        smallest = min(self.eigenvalues())
+        # three plain checks: sample_state builds one of these for every accepted bds link
+        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
+            raise InvalidParametersError(f"correlations {(t1, t2, t3)} must be finite")
+        smallest = min(bell_weights(t1, t2, t3))
         if smallest < -PSD_TOL:
             raise InvalidParametersError(
-                f"correlations {self.as_tuple()} lie outside the tetrahedron "
+                f"correlations {(t1, t2, t3)} lie outside the tetrahedron "
                 f"(eigenvalue {smallest:.12g} < 0)"
             )
 

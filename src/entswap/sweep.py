@@ -3,10 +3,12 @@
 A sweep walks a set of (n, eta) cells.  Random-mode samples are drawn from
 a counter-based generator keyed by (seed, sample index), so sample k sees
 the same link states in every cell and results do not depend on evaluation
-order.  Grid mode enumerates deterministic parameter grids:
-the Cartesian product of per-link visibility grids for the Werner family,
-and one shared correlation triple per grid point (identical links) for the
-Bell-diagonal family.
+order.  One generator serves each (sweep, n): it is restarted for each
+sample, which then reads exactly the stream of link_generator(seed, index)
+without building a new generator.  Grid mode enumerates deterministic
+parameter grids: the Cartesian product of per-link visibility grids for the
+Werner family, and one shared correlation triple per grid point (identical
+links) for the Bell-diagonal family.
 
 The links of each (sample, n) are drawn or enumerated once, a chunk of
 samples at a time, and every eta cell of that n reads the chunk through
@@ -147,6 +149,23 @@ def link_generator(seed: int, index: int) -> np.random.Generator:
     """Counter-based random stream for one sample: keyed by (seed, index)."""
     key = np.array([seed & _SEED_MASK, index & _SEED_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _restart(rng: np.random.Generator, seed: int, index: int) -> None:
+    """Rewind a generator of :func:`link_generator` to the start of (seed, index)'s stream.
+
+    The Philox state is the one link_generator(seed, index) starts in:
+    counter 0, an empty output buffer (position 4 of 4) and no pending
+    32-bit half.  Assigning it costs a fraction of building a generator.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _SEED_MASK, index & _SEED_MASK)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _inside_tetrahedron(t1: float, t2: float, t3: float) -> bool:
@@ -374,12 +393,15 @@ def input_concurrences(family: str, link_params) -> tuple[float, ...]:
 def _random_links(config: SweepConfig, n: int):
     """Yield (link_params, links, c_in) for each sample, drawn from its own stream.
 
+    One generator serves the call.  It is restarted for each sample, whose
+    links then read the stream of link_generator(seed, index), in order.
     Werner and BDS samples are drawn as parameters only: their links are None.
     A general sample's c_in is None; run_sweep reads it off the stacked links.
     """
     general = config.family == "general"
+    rng = link_generator(config.seed, 0)
     for index in range(config.sample_count):
-        rng = link_generator(config.seed, index)
+        _restart(rng, config.seed, index)
         params, states = zip(*(
             sample_state(config.family, rng, config.entangled_inputs_only, dense=False)
             for _ in range(n + 1)
@@ -491,8 +513,9 @@ def _format_etas(etas) -> str:
     return ";".join(_fmt(e) for e in etas)
 
 
-#: A general link's text: its 15 Bloch values in one %-format, whose %.12g
-#: prints each float as _fmt does.
+#: A Bell-diagonal and a general link's text: the triple and the 15 Bloch
+#: values in one %-format each, whose %.12g prints each float as _fmt does.
+_BDS_LINK = "(%.12g,%.12g,%.12g)"
 _GENERAL_LINK = "(" + ",".join(["%.12g"] * 15) + ")"
 
 
@@ -500,7 +523,7 @@ def _format_link(family: str, params) -> str:
     if family == "werner":
         return _fmt(params.p)
     if family == "bds":
-        return "(" + ",".join(_fmt(v) for v in params.as_tuple()) + ")"
+        return _BDS_LINK % (params.t1, params.t2, params.t3)
     # Python floats format like numpy scalars and are cheaper to format
     return _GENERAL_LINK % (*params.r.tolist(), *params.s.tolist(), *params.T.ravel().tolist())
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entswap
 from entswap import BdsParams
 from entswap import sweep as sweep_module
 from entswap.cli import run
@@ -310,3 +315,21 @@ def test_bad_input_is_reported_on_stderr_only(tmp_path, capsys, case):
     assert captured.out == ""
     assert message in captured.err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_module_entry_point_prints_and_exits_as_run(capsys):
+    # python -m entswap.cli goes through main(): run's output and exit code
+    env = dict(os.environ, PYTHONPATH=str(Path(entswap.__file__).resolve().parents[1]))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "entswap.cli", *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    done = module("threshold", "--eta-star")
+    assert run(["threshold", "--eta-star"]) == 0
+    assert done.returncode == 0
+    assert done.stdout == capsys.readouterr().out
+    # a one-link chain is a usage error: exit 2, not a traceback's 1
+    one_link = module("chain", "--family", "werner", "--p", "0.9", "--etas", "1", "--engine", "oracle")
+    assert one_link.returncode == 2, one_link.stderr
+    assert one_link.stderr.startswith("error: ")

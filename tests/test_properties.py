@@ -325,8 +325,8 @@ def test_swap_steps_equal_the_whole_table_reference_bit_for_bit(chain, mode):
 @PROPERTY_SETTINGS
 @given(stacked_chains(), st.sampled_from(["paper", "povm"]))
 def test_chain_steps_never_write_into_their_links(chain, mode):
-    # steps finish in place on arrays of their own; bare writable links,
-    # as a stack and as one chain's list, must keep their bytes
+    # each step returns a new array; bare writable links, as a stack and
+    # as one chain's list, must keep their bytes
     chains, etas, _ = chain
     noise = NoiseModel(tuple(etas))
     links = np.array([[state.matrix for state in column] for column in zip(*chains)])

@@ -762,6 +762,14 @@ def test_general_link_text_is_the_per_value_join(form):
     assert sweep_module._format_link("general", form) == expected
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_LINK_VALUES, _LINK_VALUES, _LINK_VALUES).filter(lambda t: _inside_tetrahedron(*t)))
+def test_bds_link_text_is_the_per_value_join(triple):
+    # one %-format of the triple must print each value as _fmt does
+    expected = "(" + ",".join(sweep_module._fmt(v) for v in triple) + ")"
+    assert sweep_module._format_link("bds", BdsParams(*triple)) == expected
+
+
 def test_csv_reads_its_input_once(tmp_path):
     # a generator of records writes what the list writes
     records, _ = run_sweep(SweepConfig(family="bds", sample_count=20, n_repeaters=[1, 2],
@@ -926,6 +934,77 @@ def test_parameter_only_draws_leave_the_stream_untouched(family, entangled_input
     assert sparse_rng.uniform() == dense_rng.uniform()
 
 
+def _used_generator():
+    """A link_generator left mid-block and holding a pending 32-bit half."""
+    rng = link_generator(5, 9)
+    rng.random()
+    rng.integers(0, 2**32, dtype=np.uint32)
+    state = rng.bit_generator.state
+    assert 0 < state["buffer_pos"] < 4 and state["has_uint32"] == 1
+    return rng
+
+
+_STREAM_DRAWS = {
+    "random": lambda rng: rng.random(),
+    "random(3)": lambda rng: rng.random(3).tolist(),
+    "normal": lambda rng: rng.normal(size=(4, 4)).tolist(),
+    "uint32": lambda rng: [int(rng.integers(0, 2**32, dtype=np.uint32)) for _ in range(5)],
+    "bounded uint32": lambda rng: rng.integers(0, 1000, size=7, dtype=np.uint32).tolist(),
+}
+
+
+def _assert_restart_reads_the_stream(seed, index):
+    for name, draw in _STREAM_DRAWS.items():
+        rng = _used_generator()
+        sweep_module._restart(rng, seed, index)
+        fresh = link_generator(seed, index)
+        assert [draw(rng) for _ in range(3)] == [draw(fresh) for _ in range(3)], name
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (2**64 - 1, 2**64 - 1)])
+def test_restarted_generator_reads_link_generators_stream(seed, index):
+    # a restart must drop the used generator's counter, buffer and pending
+    # 32-bit half: every draw then equals a new generator's of that key
+    _assert_restart_reads_the_stream(seed, index)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+def test_restarted_generator_reads_link_generators_stream_for_any_key(seed, index):
+    _assert_restart_reads_the_stream(seed, index)
+
+
+@pytest.mark.parametrize("family", ["werner", "bds", "general"])
+@pytest.mark.parametrize("entangled_inputs_only", [False, True])
+def test_random_sweep_across_a_chunk_reads_each_samples_own_stream(family, entangled_inputs_only):
+    # one generator serves the sweep's n, restarted for each sample; every
+    # record must equal the one built from a new link_generator(seed, index)
+    count, eta = sweep_module.CHUNK_SIZE + 3, 0.9
+    engine = "oracle" if family == "general" else "closedform"
+    config = SweepConfig(family=family, sample_count=count, n_repeaters=1, eta_spec=eta, seed=29,
+                         entangled_inputs_only=entangled_inputs_only, engine=engine)
+
+    def key(params):
+        return (params.r.tolist(), params.s.tolist(), params.T.tolist()) if family == "general" else params
+
+    expected = []
+    for index in range(count):
+        rng = link_generator(config.seed, index)
+        params, links = zip(*(sample_state(family, rng, entangled_inputs_only) for _ in range(2)))
+        if family == "general":
+            final = chain_swap(ChainSpec(links, NoiseModel((eta,))))
+            c_in, c_out, f_out = tuple(map(concurrence, links)), concurrence(final), teleportation_fidelity(final)
+        else:
+            c_in = sweep_module.input_concurrences(family, params)
+            c_out, f_out, _ = evaluate_chain(family, engine, "paper", params, (eta,))
+        expected.append((index, 1, [key(p) for p in params], (eta,), c_in, c_out, f_out, *flags(c_out, f_out)))
+    records, _ = run_sweep(config)
+    assert [
+        (r.index, r.n, [key(p) for p in r.link_params], r.etas, r.c_in, r.c_out, r.f_out, r.entangled, r.useful)
+        for r in records
+    ] == expected
+
+
 @pytest.mark.parametrize("family", ["general", "werner", "bds"])
 @pytest.mark.parametrize("swap_mode", ["paper", "povm"])
 def test_oracle_sweep_across_a_chunk_boundary_matches_single_chains(swap_mode, family):
@@ -1076,6 +1155,33 @@ def test_failing_stacked_cells_raise_the_first_failing_cells_error(monkeypatch, 
     with pytest.raises(InvalidStateError) as raised:
         run_sweep(config)
     assert len(expected) == 2 and expected[0] != expected[1]
+    assert str(raised.value) == expected[0]
+
+
+def test_failing_stack_raises_when_no_member_fails_alone(monkeypatch):
+    # if the member-by-member search finds no failing member, the stack's
+    # own error must escape: the sweep raises it and returns no records
+    from entswap.states import _checked_density_matrix
+
+    chain_matrices = sweep_module._chain_matrices
+    expected = []
+
+    def scripted(links, cells, mode):
+        out = chain_matrices(links, cells, mode).copy()
+        out[1, 2] = _with_defect(out[1, 2], "trace", 1e-3)
+        try:
+            _checked_density_matrix(out, out.shape, "two-qubit state")
+        except InvalidStateError as exc:
+            expected.append(str(exc))
+        return out
+
+    monkeypatch.setattr(sweep_module, "_chain_matrices", scripted)
+    monkeypatch.setattr(sweep_module, "_raise_first_failure", lambda check, members: None)
+    config = SweepConfig(family="general", sample_count=4, n_repeaters=1, eta_spec=[0.8, 1.0], seed=5,
+                         engine="oracle")
+    with pytest.raises(InvalidStateError) as raised:
+        run_sweep(config)
+    assert len(expected) == 1
     assert str(raised.value) == expected[0]
 
 
