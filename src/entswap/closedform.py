@@ -10,14 +10,19 @@ nodes (see :func:`subset_sum_normalization`) because
 
 The closed forms also take a stack of N chains that share their per-node
 success probabilities.  Its query holds one column per link position: an
-(N,) array of visibilities, or a BdsParams of (N,) correlation arrays.
-The result is an array of each chain's value.  A stack runs the same
-float operations as a single chain, in the same order, so each member
-equals its single-chain result bit for bit; a single chain still gives
-Python floats.
+(N,) array of visibilities, or a BdsParams of (N,) correlation arrays,
+which are the rows of an (n+1, N) stack.  The result is an array of each
+chain's value.  A stack runs the same float operations as a single chain,
+in the same order, so each member equals its single-chain result bit for
+bit; a single chain still gives Python floats.
 
 A query computes its surviving parameters once, as its ``final``; the
-concurrence and fidelity of that query both read it.
+concurrence and fidelity of that query both read it.  The link products
+do not depend on eta, so :func:`cell_queries` takes them once for a stack
+read in K eta cells and scales them by a (K, 1) column of the cells' node
+scales: one (K, N) final, whose row k each cell's query reads.  A single
+query and the cells of a stack share one product-and-scale formula
+(:func:`_werner_final`, :func:`_bds_final`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import FLAG_MARGIN, _positive_part, concurrence_bds
-from .states import BdsParams, _raise_first_failure, check_visibility
+from .states import BdsParams, _unchecked, check_visibility
 from .swap import NoiseModel
 
 #: Returned by max_entangled_swaps when no number of swaps kills entanglement.
@@ -66,20 +71,12 @@ class WernerChainQuery:
         for p in ps:
             if isinstance(p, np.ndarray):
                 p.flags.writeable = False
-                # "not within [0, 1]" rather than "beyond it", so NaN fails too
-                outside = ~((0.0 <= p) & (p <= 1.0))
-                if outside.any():
-                    _raise_first_failure(check_visibility, p[outside].tolist())
-            else:
-                check_visibility(p)
+            check_visibility(p)
 
     @cached_property
     def final(self) -> float | np.ndarray:
         """Visibility surviving the chain: prod(p_i) scaled per node by eta/(4-3 eta)."""
-        p = 1.0
-        for pi in self.ps:
-            p *= pi
-        return p * _node_scale(self.etas)
+        return _werner_final(self.ps, _node_scale(self.etas))
 
 
 @dataclass(frozen=True)
@@ -106,20 +103,9 @@ class BdsChainQuery:
 
     @cached_property
     def final(self) -> BdsParams:
-        """Correlation triple surviving the chain.
-
-        Component-wise products of the link triples, with the middle
-        component picking up one sign per swap, all scaled by the per-node
-        noise factor: (scale prod t1, scale (-1)^n prod t2, scale prod t3).
-        """
-        n = len(self.etas)
-        scale = _node_scale(self.etas)
-        c1 = c2 = c3 = 1.0
-        for t in self.ts:
-            c1 *= t.t1
-            c2 *= t.t2
-            c3 *= t.t3
-        return BdsParams(scale * c1, scale * (-1.0) ** n * c2, scale * c3)
+        """Correlation triple surviving the chain (see :func:`_bds_final`)."""
+        t1s, t2s, t3s = zip(*(t.as_tuple() for t in self.ts))
+        return _bds_final(t1s, t2s, t3s, _node_scale(self.etas), len(self.etas))
 
 
 def _node_scale(etas: NoiseModel) -> float:
@@ -127,6 +113,62 @@ def _node_scale(etas: NoiseModel) -> float:
     for eta in etas.etas:
         scale *= eta / (4.0 - 3.0 * eta)
     return scale
+
+
+def _product(links):
+    """Product of a chain's link values in link order, starting from 1.0.
+
+    Floats give a float.  (N,) columns, or the rows of an (n+1, N) stack,
+    give the (N,) array of each chain's product.
+    """
+    product = 1.0
+    for value in links:
+        product *= value
+    return product
+
+
+def _werner_final(ps, scale):
+    """Visibility surviving a chain: the product of its visibilities times its node scale.
+
+    ``scale`` is one chain's node scale, or a (K, 1) column of K cells'
+    scales, which gives the (K, N) final of a stack read in K cells.
+    """
+    return _product(ps) * scale
+
+
+def _bds_final(t1s, t2s, t3s, scale, n: int) -> BdsParams:
+    """Correlation triple surviving a chain of n swaps.
+
+    (scale prod t1, scale (-1)^n prod t2, scale prod t3): the components
+    are multiplied link by link, and the middle one picks up one sign per
+    swap.  ``t1s``, ``t2s`` and ``t3s`` hold each link's component and
+    ``scale`` is as for :func:`_werner_final`.
+    """
+    return BdsParams(scale * _product(t1s), scale * (-1.0) ** n * _product(t2s), scale * _product(t3s))
+
+
+def cell_queries(links, cells) -> list:
+    """One query per eta cell of a stack of N chains, all reading one (K, N) final.
+
+    ``links`` is the stack, checked whole when it was built: an (n+1, N)
+    visibility array or a BdsParams of (n+1, N) arrays, row k holding every
+    chain's k-th link.  ``cells`` holds the K cells' NoiseModels.  The link
+    products are taken once; the cells' node scales, as a (K, 1) column,
+    turn them into the (K, N) final (a Bell-diagonal one is checked once).
+    Query k holds the stack's rows, cell k's noise and row k of the final,
+    which is what its own ``final`` would compute: the same float
+    operations in the same order.
+    """
+    werner = not isinstance(links, BdsParams)
+    rows = tuple(links) if werner else links._rows()
+    for noise in cells:
+        noise.check_links(len(rows))
+    scales = np.array([_node_scale(noise) for noise in cells])[:, None]
+    if werner:
+        final = _werner_final(links, scales)
+        return [_unchecked(WernerChainQuery, ps=rows, etas=noise, final=p) for noise, p in zip(cells, final)]
+    final = _bds_final(links.t1, links.t2, links.t3, scales, len(rows) - 1)
+    return [_unchecked(BdsChainQuery, ts=rows, etas=noise, final=t) for noise, t in zip(cells, final._rows())]
 
 
 def werner_final_visibility(query: WernerChainQuery) -> float | np.ndarray:

@@ -71,10 +71,13 @@ def concurrence(state) -> float | np.ndarray:
     return np.maximum(0.0, c) if c.ndim else max(0.0, float(c))
 
 
-def concurrence_werner(p: float) -> float:
-    """Closed-form concurrence max(0, (3p - 1)/2) of a visibility-p state."""
+def concurrence_werner(p: float | np.ndarray) -> float | np.ndarray:
+    """Closed-form concurrence max(0, (3p - 1)/2) of a visibility-p state.
+
+    An array of visibilities gives an array of each member's value.
+    """
     check_visibility(p)
-    return max(0.0, (3.0 * p - 1.0) / 2.0)
+    return _positive_part((3.0 * p - 1.0) / 2.0)
 
 
 def _positive_part(x):

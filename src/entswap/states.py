@@ -65,6 +65,17 @@ def _raise_first_failure(check, members) -> None:
         check(member)
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, built without __post_init__.
+
+    Only for parts of a stack that was checked whole, so that no part is
+    checked again.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _as_matrix(state) -> np.ndarray:
     """Unwrap a state object to its matrix; pass bare arrays through."""
     return np.asarray(getattr(state, "matrix", state), dtype=complex)
@@ -171,9 +182,18 @@ class WernerParams:
         check_visibility(self.p)
 
 
-def check_visibility(p: float) -> None:
-    """Raise DomainError unless the Werner visibility p lies in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
+def check_visibility(p: float | np.ndarray) -> None:
+    """Raise DomainError unless the Werner visibility p lies in [0, 1].
+
+    An array is checked whole; when it fails, its first bad member raises
+    what it raises alone.
+    """
+    if isinstance(p, np.ndarray):
+        # "not within [0, 1]" rather than "beyond it", so NaN fails too
+        outside = ~((0.0 <= p) & (p <= 1.0))
+        if outside.any():
+            _raise_first_failure(check_visibility, p[outside].tolist())
+    elif not 0.0 <= p <= 1.0:
         raise DomainError(f"visibility must lie in [0, 1], got {p}")
 
 
@@ -222,6 +242,13 @@ class BdsParams:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.t1, self.t2, self.t3)
+
+    def _rows(self) -> list[BdsParams]:
+        """The members of a checked stack along its first axis, as stacks that share its read-only arrays.
+
+        No row is checked again: the stack was checked whole when it was built.
+        """
+        return [_unchecked(BdsParams, t1=t1, t2=t2, t3=t3) for t1, t2, t3 in zip(self.t1, self.t2, self.t3)]
 
     def eigenvalues(self) -> tuple[float, float, float, float]:
         """The four Bell-basis eigenvalues of the state (of each member of a stack)."""

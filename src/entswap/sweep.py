@@ -12,10 +12,14 @@ links) for the Bell-diagonal family.
 
 The links of each (sample, n) are drawn or enumerated once, a chunk of
 samples at a time, and every eta cell of that n reads the chunk through
-_evaluate_chains.  The closed forms take CHUNK_SIZE samples and evaluate
-them once per cell.  On the oracle all cells of an n are one stack of at
-most CHUNK_SIZE chains (cells x samples): a chunk holds CHUNK_SIZE // cells
-samples, and each node's eta is a column over the cells.  A single chain
+_evaluate_chains.  The closed forms take CHUNK_SIZE samples as one
+(n+1, N) parameter stack, checked once, whose link products serve every
+cell: each cell's node scale is a row of one (cells, N) final, and each
+closed form is called once per cell on a query that reads its row.  On the
+oracle all cells of an n are one stack of at most CHUNK_SIZE chains
+(cells x samples): a chunk holds CHUNK_SIZE // cells samples, and each
+node's eta is a column over the cells.  A random chunk's input
+concurrences are read off its stack in one call.  A single chain
 (evaluate_chain) is the stack of one chain in one cell.  Each cell's
 records are built from its row of the stack's results.
 ENTSWAP_THREADS must be an integer if set, but it selects nothing.
@@ -32,13 +36,13 @@ from itertools import groupby, islice, product
 import numpy as np
 
 from .closedform import (
-    BdsChainQuery,
-    WernerChainQuery,
     bds_chain_concurrence,
     bds_chain_fidelity,
     bds_final_correlations,
+    cell_queries,
     werner_chain_concurrence,
     werner_chain_fidelity,
+    werner_final_visibility,
 )
 from .errors import ConfigError, InvalidStateError
 from .measures import concurrence, concurrence_bds, concurrence_werner, flags, teleportation_fidelity
@@ -49,6 +53,7 @@ from .states import (
     _checked_density_matrix,
     _raise_first_failure,
     bell_weights,
+    check_visibility,
     make_bell_diagonal,
     make_werner,
     pauli_decompose,
@@ -304,21 +309,25 @@ def check_engine(family: str, engine: str, swap_mode: str) -> None:
 def evaluate_chain(family: str, engine: str, swap_mode: str, link_params, etas):
     """End-to-end (c_out, f_out, final) of one chain of Werner or BDS links.
 
-    c_out and f_out are the stack of one of :func:`_evaluate_chains`.
+    c_out, f_out and final are the stack of one of :func:`_evaluate_chains`.
     ``final`` is the validated 4x4 end-to-end matrix on both engines: the
     oracle's swapped state, or on the closedform engine the Bell-diagonal
-    state of :func:`bds_final_correlations`, a Werner link being the
-    triple (-p, -p, -p).
+    state of the closed forms' final parameters.  A Werner link is the
+    triple (-p, -p, -p), so a chain of n swaps that keeps visibility p
+    ends in the triple (sigma p, -p, sigma p), sigma = (-1)^(n+1).
     """
     noise = NoiseModel(tuple(etas))
     links = _link_stack(family, engine, [link_params], None)
     c_out, f_out, final = _evaluate_chains(family, engine, swap_mode, [noise], links)
     c_out, f_out = float(c_out[0, 0]), float(f_out[0, 0])
-    if final is not None:
+    if engine == "oracle":
         return c_out, f_out, final[0, 0]
-    ts = tuple(BdsParams(-p.p, -p.p, -p.p) for p in link_params) if family == "werner" else tuple(link_params)
-    state = make_bell_diagonal(bds_final_correlations(BdsChainQuery(ts, noise)))
-    return c_out, f_out, state.matrix
+    if family == "werner":
+        p, sigma = float(final[0][0]), (-1.0) ** (len(noise) + 1)
+        triple = (sigma * p, -p, sigma * p)
+    else:
+        triple = tuple(float(t[0]) for t in final[0].as_tuple())
+    return c_out, f_out, make_bell_diagonal(triple).matrix
 
 
 def _evaluate_chains(family: str, engine: str, swap_mode: str, cells, links):
@@ -327,21 +336,29 @@ def _evaluate_chains(family: str, engine: str, swap_mode: str, cells, links):
     ``cells`` holds the K cells' NoiseModels and ``links`` the stack that
     :func:`_link_stack` builds for the engine.  c_out and f_out are (K, N)
     arrays on both engines, row k holding cell k.  The closedform engine
-    calls each closed form once per cell on one query, which computes the
-    stack's final parameters once.  The oracle runs every swap step once on
-    the stack of all K * N chains, each node's eta a column over the cells,
-    and validates and measures that stack once; a failing validation raises
-    what the first failing cell raises alone.  Cells beyond CHUNK_SIZE
-    chains go to further stacks.  ``final`` is the (K, N, 4, 4) stack of
-    validated end-to-end matrices, or None on the closedform engine.
+    takes the stack's link products once and scales them into one (K, N)
+    final (:func:`cell_queries`); it calls each closed form once per cell,
+    on a query that reads the cell's row.  ``final`` is then the K cells'
+    rows of it, each read through werner_final_visibility or
+    bds_final_correlations: an (N,) visibility array or a BdsParams of (N,)
+    arrays.  The oracle runs every swap step once on the stack of all
+    K * N chains, each node's eta a column over the cells, and validates
+    and measures that stack once; a failing validation raises what the
+    first failing cell raises alone.  Cells beyond CHUNK_SIZE chains go to
+    further stacks.  ``final`` is then the (K, N, 4, 4) stack of validated
+    end-to-end matrices.
     """
     if engine == "closedform":
         if family == "werner":
-            query, c_of, f_of = WernerChainQuery, werner_chain_concurrence, werner_chain_fidelity
+            final_of, c_of, f_of = werner_final_visibility, werner_chain_concurrence, werner_chain_fidelity
         else:
-            query, c_of, f_of = BdsChainQuery, bds_chain_concurrence, bds_chain_fidelity
-        queries = [query(links, noise) for noise in cells]
-        return np.array([c_of(q) for q in queries]), np.array([f_of(q) for q in queries]), None
+            final_of, c_of, f_of = bds_final_correlations, bds_chain_concurrence, bds_chain_fidelity
+        queries = cell_queries(links, cells)
+        return (
+            np.array([c_of(q) for q in queries]),
+            np.array([f_of(q) for q in queries]),
+            [final_of(q) for q in queries],
+        )
     per_stack = max(1, CHUNK_SIZE // links.shape[1])
     if len(cells) > per_stack:
         # more cells than a stack of CHUNK_SIZE chains holds go per_stack at a time
@@ -367,20 +384,36 @@ def _link_stack(family: str, engine: str, params, states):
 
     ``params[j]`` holds chain j's link parameters and ``states[j]`` its
     drawn dense links, read only for the general family.  The closedform
-    engine reads one column per link position: an (N,) array of
-    visibilities, or a BdsParams of (N,) correlation arrays.  The oracle
-    reads the (n+1, N, 4, 4) stack of dense links, [k, j] being chain j's
-    k-th link; it builds Werner and BDS links from their parameters.
+    engine reads the chunk's :func:`_parameter_stack`, checked once.  The
+    oracle reads the (n+1, N, 4, 4) stack of dense links, [k, j] being
+    chain j's k-th link; it builds Werner and BDS links from their
+    parameters.
     """
     if engine == "closedform":
-        columns = zip(*params)
-        if family == "werner":
-            return tuple(np.array([p.p for p in column]) for column in columns)
-        return tuple(BdsParams(*np.array([t.as_tuple() for t in column]).T) for column in columns)
+        return _parameter_stack(family, params)
     if family != "general":
         maker = make_werner if family == "werner" else make_bell_diagonal
         states = [[maker(p) for p in chain] for chain in params]
     return np.array([[state.matrix for state in column] for column in zip(*states)])
+
+
+def _parameter_stack(family: str, params):
+    """The (n+1, N) stack of N Werner or BDS chains' link parameters, checked whole.
+
+    Row k holds every chain's k-th link: an array of visibilities, or a
+    BdsParams of (n+1, N) correlation arrays.
+    """
+    shape = (len(params[0]), len(params))
+    links = [link for column in zip(*params) for link in column]
+    if family == "werner":
+        stack = np.array([p.p for p in links]).reshape(shape)
+        check_visibility(stack)
+        return stack
+    return BdsParams(
+        np.array([t.t1 for t in links]).reshape(shape),
+        np.array([t.t2 for t in links]).reshape(shape),
+        np.array([t.t3 for t in links]).reshape(shape),
+    )
 
 
 def input_concurrences(family: str, link_params) -> tuple[float, ...]:
@@ -390,15 +423,30 @@ def input_concurrences(family: str, link_params) -> tuple[float, ...]:
     return tuple(concurrence_bds(p) for p in link_params)
 
 
+def _stacked_input_concurrences(family: str, engine: str, params, links) -> list[tuple[float, ...]]:
+    """Each chain's c_in, read off the chunk's stack by one concurrence call.
+
+    A general chunk's c_in is the dense concurrence of its drawn links.  A
+    Werner or BDS chunk's is the closed form of its parameter stack: the
+    closedform engine's ``links``, which the oracle builds for this alone.
+    Each value is the one the closed form gives its link alone.
+    """
+    if family == "general":
+        c_in = concurrence(links)
+    else:
+        stack = links if engine == "closedform" else _parameter_stack(family, params)
+        c_in = (concurrence_werner if family == "werner" else concurrence_bds)(stack)
+    return [tuple(chain) for chain in c_in.T.tolist()]
+
+
 def _random_links(config: SweepConfig, n: int):
-    """Yield (link_params, links, c_in) for each sample, drawn from its own stream.
+    """Yield (link_params, links, None) for each sample, drawn from its own stream.
 
     One generator serves the call.  It is restarted for each sample, whose
     links then read the stream of link_generator(seed, index), in order.
     Werner and BDS samples are drawn as parameters only: their links are None.
-    A general sample's c_in is None; run_sweep reads it off the stacked links.
+    No sample carries its c_in: run_sweep reads a chunk's off its stack.
     """
-    general = config.family == "general"
     rng = link_generator(config.seed, 0)
     for index in range(config.sample_count):
         _restart(rng, config.seed, index)
@@ -406,7 +454,7 @@ def _random_links(config: SweepConfig, n: int):
             sample_state(config.family, rng, config.entangled_inputs_only, dense=False)
             for _ in range(n + 1)
         ))
-        yield params, states, None if general else input_concurrences(config.family, params)
+        yield params, states, None
 
 
 def _grid_links(config: SweepConfig, n: int):
@@ -476,8 +524,8 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
             indices, sampled = zip(*chunk)
             params, states, c_in = zip(*sampled)
             links = _link_stack(config.family, config.engine, params, states)
-            if config.family == "general":
-                c_in = [tuple(c) for c in concurrence(links).T.tolist()]
+            if config.mode == "random":
+                c_in = _stacked_input_concurrences(config.family, config.engine, params, links)
             c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noises, links)
             entangled, useful = flags(c_out, f_out)
             rows = zip(n_cells, c_out, f_out, entangled, useful)

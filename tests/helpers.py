@@ -6,7 +6,8 @@ they provide an independent route against the package's reduced product
 implementations.  reference_sample_state keeps an earlier form of the
 Werner and Bell-diagonal draws, against which the sampler is pinned, and
 reference_paper_step and reference_povm_step an earlier form of the
-oracle's swap steps.
+oracle's swap steps, and reference_closedform_end_state an earlier route
+to the closedform engine's end state.
 """
 
 import math
@@ -179,3 +180,27 @@ def reference_povm_step(left_m, right_m, eta):
     """Povm step of (..., 4, 4) stacks of links: the eta-weighted parts, normalized."""
     parts = _reference_step_parts(left_m, right_m)
     return _reference_normalized(eta * parts[..., 0, :, :] + (1.0 - eta) * parts[..., 1, :, :])
+
+
+# Frozen reference for the closedform engine's end state: evaluate_chain's
+# second route, which built a Bell-diagonal query of its own (a Werner link
+# being the triple (-p, -p, -p)) and read its final triple.  The package's
+# end state, now built from the chain's own closed-form final, must give
+# the same matrix, bit for bit.
+def reference_closedform_end_state(family, link_params, etas):
+    """The 4x4 closed-form end state of one Werner or BDS chain, by the second-query route."""
+    if family == "werner":
+        ts = [(-p.p, -p.p, -p.p) for p in link_params]
+    else:
+        ts = [t.as_tuple() for t in link_params]
+    etas = [float(eta) for eta in etas]
+    scale = 1.0
+    for eta in etas:
+        scale *= eta / (4.0 - 3.0 * eta)
+    c1 = c2 = c3 = 1.0
+    for t1, t2, t3 in ts:
+        c1 *= t1
+        c2 *= t2
+        c3 *= t3
+    final = BdsParams(scale * c1, scale * (-1.0) ** len(etas) * c2, scale * c3)
+    return make_bell_diagonal(final).matrix

@@ -18,7 +18,9 @@ A sweep evaluates its chains as stacks with the samples on a leading
 axis, and the oracle puts every eta cell of a chain length on one more.
 Every stacked result must equal, bit for bit, the single call on each
 member, and each cell its evaluation alone.  The closed forms take stacks too, one float column per link
-position, and each member must equal its single-chain float.
+position, and each member must equal its single-chain float.  A closed-form
+chunk read in several eta cells shares one final across them, and each
+cell must equal its own query.
 
 The swap steps and the fidelity of a validated state are pinned bit for
 bit to earlier routes to the same values: the steps to a frozen copy that
@@ -38,6 +40,7 @@ from entswap import (
     NoiseModel,
     TwoQubitState,
     WernerChainQuery,
+    WernerParams,
     bds_chain_concurrence,
     bds_chain_fidelity,
     bds_final_correlations,
@@ -53,10 +56,11 @@ from entswap import (
     teleportation_fidelity,
     werner_chain_concurrence,
     werner_chain_fidelity,
+    werner_final_visibility,
 )
 from entswap.states import PAULI, _checked_density_matrix
 from entswap.swap import _chain_matrices, _swap_once_matrix, _swap_once_povm_matrix
-from entswap.sweep import _evaluate_chains
+from entswap.sweep import _evaluate_chains, _link_stack
 from helpers import reference_paper_step, reference_povm_step
 
 _PAIRS = np.array([[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)])
@@ -259,6 +263,61 @@ def test_stacked_bds_closed_forms_equal_single_chains(n, data):
     stacked = bds_final_correlations(query).as_tuple()
     for k, component in enumerate(stacked):
         _assert_members_equal(component, [bds_final_correlations(q).as_tuple()[k] for q in singles])
+
+
+def _signed_zeros(point):
+    """A triple with each zero component given a drawn sign."""
+    return st.tuples(*(st.sampled_from([0.0, -0.0]) if t == 0.0 else st.just(t) for t in point))
+
+
+@st.composite
+def closedform_cells(draw):
+    """(family, params, cells): params[j] holds chain j's n + 1 links, for 1..5 chains, read in 1..4 cells.
+
+    Werner links take +-0.0 and 1 beside arbitrary visibilities; Bell-diagonal
+    links take the tetrahedron's vertices (components +-1) and points with
+    signed zero components.  Each cell is one per-node eta list, eta 0 and 1
+    drawn often.
+    """
+    family = draw(st.sampled_from(["werner", "bds"]))
+    n = draw(st.integers(1, 4))
+    if family == "werner":
+        link = (st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)).map(WernerParams)
+    else:
+        link = (tetrahedron_points() | st.sampled_from([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)])).flatmap(_signed_zeros)
+        link = link.map(lambda t: BdsParams(*t))
+    params = draw(st.lists(st.lists(link, min_size=n + 1, max_size=n + 1), min_size=1, max_size=5))
+    node_etas = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    cells = draw(st.lists(
+        st.lists(node_etas, min_size=n, max_size=n) | node_etas.map(lambda eta: [eta] * n),
+        min_size=1, max_size=4,
+    ))
+    return family, params, cells
+
+
+@PROPERTY_SETTINGS
+@given(closedform_cells())
+def test_closedform_cells_equal_single_cell_queries_bit_for_bit(chunk):
+    # the cells of a closed-form chunk share its link products and one final;
+    # each cell must get the bits of its own query on the chunk's link columns
+    family, params, cells = chunk
+    noises = [NoiseModel(tuple(etas)) for etas in cells]
+    links = _link_stack(family, "closedform", params, None)
+    c_out, f_out, finals = _evaluate_chains(family, "closedform", "paper", noises, links)
+    assert c_out.shape == f_out.shape == (len(cells), len(params))
+    columns = list(zip(*params))
+    for k, noise in enumerate(noises):
+        if family == "werner":
+            query = WernerChainQuery(tuple(np.array([p.p for p in column]) for column in columns), noise)
+            c, f, final = werner_chain_concurrence(query), werner_chain_fidelity(query), werner_final_visibility(query)
+            assert _same_bits(finals[k], final)
+        else:
+            triples = tuple(BdsParams(*np.array([t.as_tuple() for t in column]).T) for column in columns)
+            query = BdsChainQuery(triples, noise)
+            c, f, final = bds_chain_concurrence(query), bds_chain_fidelity(query), bds_final_correlations(query)
+            assert all(_same_bits(a, b) for a, b in zip(finals[k].as_tuple(), final.as_tuple()))
+        assert _same_bits(c_out[k], c)
+        assert _same_bits(f_out[k], f)
 
 
 def _same_bits(a, b) -> bool:

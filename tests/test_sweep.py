@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -38,10 +39,13 @@ from entswap import (
     write_csv,
     write_summary_json,
 )
+from entswap import closedform as closedform_module
 from entswap import sweep as sweep_module
+from entswap.closedform import cell_queries
 from entswap.measures import FLAG_MARGIN, flags
-from entswap.sweep import _inside_tetrahedron, evaluate_chain
-from helpers import reference_sample_state
+from entswap.states import _unchecked
+from entswap.sweep import _inside_tetrahedron, _link_stack, evaluate_chain
+from helpers import reference_closedform_end_state, reference_sample_state
 
 
 def test_sample_state_werner_entangled_only():
@@ -251,6 +255,46 @@ _GOLDEN_ORACLE_SWEEPS = {
 @pytest.mark.parametrize("name", list(_GOLDEN_ORACLE_SWEEPS))
 def test_oracle_sweeps_keep_their_bytes(tmp_path, name):
     config, count, csv_digest, summary_digest = _GOLDEN_ORACLE_SWEEPS[name]
+    records, summary = run_sweep(config)
+    assert len(records) == count
+    write_csv(records, tmp_path / "sweep.csv")
+    write_summary_json(summary, tmp_path / "summary.json")
+    digests = tuple(
+        hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in ("sweep.csv", "summary.json")
+    )
+    assert digests == (csv_digest, summary_digest)
+
+
+# sha256 of the CSV and summary of three closed-form random sweeps, with their record counts: a
+# Bell-diagonal sweep of all links whose cells include eta 0 and 1, a Werner sweep of per-node
+# eta lists, one holding 0 and 1, and a Bell-diagonal sweep of two chunks per n in three cells
+_GOLDEN_CLOSEDFORM_SWEEPS = {
+    "bds-eta-0-and-1": (
+        SweepConfig(family="bds", sample_count=40, n_repeaters=[1, 3], eta_spec=[0.0, 0.6, 1.0], seed=43,
+                    entangled_inputs_only=False),
+        360,
+        "f4028912d01c0a595d65643d25d3c14fcb84cae2efd034bc3eda6bce7bcb9793",
+        "9a716c783005f3eacd888032d920fa28f18e09634c287d80fb36fb25841956e6",
+    ),
+    "werner-per-node": (
+        SweepConfig(family="werner", sample_count=40, n_repeaters=2, eta_spec=[[0.0, 1.0], [0.9, 0.75]], seed=47),
+        80,
+        "814536e413667dd5eb5fa2cc42ca5e83acefee995d07855bda4bf791c5c8ccb7",
+        "fa451d2ead175a572ae41ff7931c7fed1aefadbe7104e090e8e10f5e8f6b393b",
+    ),
+    "bds-two-chunks": (
+        SweepConfig(family="bds", sample_count=sweep_module.CHUNK_SIZE + 3, n_repeaters=[1, 2],
+                    eta_spec=[0.7, 0.9, 1.0], seed=53, entangled_inputs_only=True),
+        6162,
+        "ee2ff7b49039401de80f273f222beba2056f69ef77a2ccfe79bcc901f911b295",
+        "1a7f5c2fd549d1fcc2400ae5a37220e700f5cdd6487c3f0df85bcfae337c968b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_CLOSEDFORM_SWEEPS))
+def test_closedform_sweeps_keep_their_bytes(tmp_path, name):
+    config, count, csv_digest, summary_digest = _GOLDEN_CLOSEDFORM_SWEEPS[name]
     records, summary = run_sweep(config)
     assert len(records) == count
     write_csv(records, tmp_path / "sweep.csv")
@@ -1224,6 +1268,51 @@ def test_closedform_end_state_matches_oracle(family):
             assert np.abs(closed - oracle).max() <= 1e-12
 
 
+def _end_state_chains(family):
+    """(link_params, etas) of chains with 1..6 swaps, odd and even, with eta 0 and 1 and zero or unit links."""
+    rng = np.random.default_rng(77)
+    edges = {"werner": [0.0, -0.0, 1.0], "bds": [(0.0, -0.0, 0.0), (1.0, -1.0, 1.0), (-1.0, -1.0, -1.0)]}[family]
+    for n in range(1, 7):
+        for k in range(60):
+            if family == "werner":
+                params = [WernerParams(float(p)) for p in rng.uniform(0.0, 1.0, size=n + 1)]
+            else:
+                params = [sample_state("bds", rng, dense=False)[0] for _ in range(n + 1)]
+            etas = rng.uniform(0.0, 1.0, size=n).tolist()
+            if k % 3 == 0:
+                etas[int(rng.integers(n))] = float(rng.choice([0.0, 1.0]))
+            if k % 4 == 0:
+                edge = edges[int(rng.integers(len(edges)))]
+                params[int(rng.integers(n + 1))] = WernerParams(edge) if family == "werner" else BdsParams(*edge)
+            yield params, etas
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+def test_closedform_end_state_is_the_second_query_routes_bit_for_bit(family):
+    # the end state built from the chain's own closed-form final must be the
+    # matrix the earlier route built from a second Bell-diagonal query
+    for params, etas in _end_state_chains(family):
+        _, _, final = evaluate_chain(family, "closedform", "paper", params, etas)
+        expected = reference_closedform_end_state(family, params, etas)
+        assert final.tobytes() == expected.tobytes(), (params, etas)
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+def test_evaluate_chain_takes_each_node_scale_once(monkeypatch, family):
+    # C, F and the end state of one chain all read one closed-form final
+    calls = []
+    node_scale = closedform_module._node_scale
+
+    def counting(etas):
+        calls.append(etas)
+        return node_scale(etas)
+
+    monkeypatch.setattr(closedform_module, "_node_scale", counting)
+    for params, etas in islice(_end_state_chains(family), 20):
+        evaluate_chain(family, "closedform", "paper", params, etas)
+    assert len(calls) == 20
+
+
 @pytest.mark.parametrize("family, engine", [("werner", "closedform"), ("bds", "closedform"), ("general", "oracle")])
 def test_each_sample_is_drawn_once_per_chain_length(monkeypatch, family, engine):
     # a sample's links for one n serve all three eta cells of that n, which
@@ -1350,6 +1439,107 @@ def test_closedform_sweeps_call_each_closed_form_once_per_chunk_and_cell(monkeyp
     assert len(records) == len(etas) * sum(per_cell)
     chunks = sum(math.ceil(size / sweep_module.CHUNK_SIZE) for size in per_cell)
     assert calls == {name: chunks * len(etas) for name in names}
+
+
+class _LinkStub:
+    """Link parameters that skip their own check: a bad member planted in a stack."""
+
+    def __init__(self, *values):
+        self.values = values
+        if len(values) == 1:
+            (self.p,) = values
+        else:
+            self.t1, self.t2, self.t3 = values
+
+
+def _raised_error(build):
+    """(type, message) of the EntswapError that build() raises."""
+    with pytest.raises(EntswapError) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+_BAD_LINKS = {
+    "werner": [(1.5,), (-0.1,), (float("nan"),)],
+    "bds": [(1.0, 1.0, 1.0), (float("nan"), 0.0, 0.0), (0.0, math.inf, 0.0)],
+}
+
+
+@pytest.mark.parametrize("family, bad", [(family, bad) for family, bads in _BAD_LINKS.items() for bad in bads])
+def test_a_failing_link_stack_raises_what_its_first_bad_member_raises_alone(family, bad):
+    # a stack's members come in the order of its (n+1, N) rows: link by link, chain by chain
+    made = WernerParams if family == "werner" else BdsParams
+    good = _LinkStub(0.8) if family == "werner" else _LinkStub(0.5, -0.3, 0.2)
+    later = _LinkStub(2.0) if family == "werner" else _LinkStub(0.9, 0.9, 0.9)
+    alone = _raised_error(lambda: made(*bad))
+    assert alone != _raised_error(lambda: made(*later.values))
+    chunk = [[good] * 3 for _ in range(5)]
+    chunk[2][1] = _LinkStub(*bad)
+    chunk[4][1] = chunk[0][2] = later
+    for params in ([[good, _LinkStub(*bad), good]], chunk):
+        assert _raised_error(lambda: _link_stack(family, "closedform", params, None)) == alone
+
+
+def _unchecked_bds_stack(rows):
+    """A BdsParams stack of (n+1, N) arrays, rows[j] holding chain j's triples, that skips its check."""
+    t1, t2, t3 = np.array(rows, dtype=float).transpose(2, 1, 0)
+    return _unchecked(BdsParams, t1=t1, t2=t2, t3=t3)
+
+
+def test_a_failing_final_raises_what_its_first_bad_member_raises_alone():
+    # unchecked links (1, 1, 1), (1, 1, 1), (t, t, t) end two swaps in (s t, s t, s t), s being
+    # the node scale: outside the tetrahedron once s t > 1/3.  A final's members come cell by
+    # cell, chain by chain.
+    good = [(0.5, -0.3, 0.2)] * 3
+
+    def chain(t):
+        return [(1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (t, t, t)]
+
+    # node scales 0, 0.5 and 1
+    none, half, full = NoiseModel((0.0, 0.0)), NoiseModel((1.0, 0.8)), NoiseModel((1.0, 1.0))
+
+    def alone(t, cell):
+        return _raised_error(lambda: cell_queries(_unchecked_bds_stack([chain(t)]), [cell]))
+
+    assert alone(0.9, full) == _raised_error(lambda: BdsParams(0.9, 0.9, 0.9))
+    assert alone(0.9, half) != alone(0.4, full) and alone(0.6, full) != alone(0.7, full)
+    # t = 0.4 fails in the full cell only, t = 0.9 in the half cell too, which comes first
+    chunk = _unchecked_bds_stack([good, chain(0.4), good, chain(0.9)])
+    assert _raised_error(lambda: cell_queries(chunk, [none, half, full])) == alone(0.9, half)
+    # inside one cell, the first failing chain raises
+    chunk = _unchecked_bds_stack([good, chain(0.6), chain(0.7)])
+    assert _raised_error(lambda: cell_queries(chunk, [none, full, full])) == alone(0.6, full)
+
+
+@pytest.mark.parametrize("count, ns, chunks_per_n", [(20, [1, 4], 1), (sweep_module.CHUNK_SIZE + 3, [1, 2], 2)])
+def test_closedform_chunks_check_their_links_and_final_once(monkeypatch, count, ns, chunks_per_n):
+    # the shape of a sweep-bds-closedform slot, and of two chunks per n: each chunk checks its
+    # link stack once and its final once, however many eta cells read it
+    calls = [0]
+    check = BdsParams._check_stack
+
+    def counting(self):
+        calls[0] += 1
+        return check(self)
+
+    monkeypatch.setattr(BdsParams, "_check_stack", counting)
+    run_sweep(SweepConfig(family="bds", sample_count=count, n_repeaters=ns, eta_spec=[0.55, 0.75, 0.95], seed=19,
+                          entangled_inputs_only=True))
+    assert calls[0] == 2 * chunks_per_n * (ns[1] - ns[0] + 1)
+
+
+def test_werner_chunks_check_their_link_stack_once(monkeypatch):
+    # 6**2, 6**3 and 6**4 records per cell: one, one and two chunks
+    calls = [0]
+    check = sweep_module.check_visibility
+
+    def counting(p):
+        calls[0] += isinstance(p, np.ndarray)
+        return check(p)
+
+    monkeypatch.setattr(sweep_module, "check_visibility", counting)
+    run_sweep(SweepConfig(family="werner", mode="grid", grid_steps=6, n_repeaters=[1, 3], eta_spec=[0.8, 0.9, 1.0]))
+    assert calls[0] == 4
 
 
 @pytest.mark.parametrize("config", [
