@@ -22,7 +22,10 @@ do not depend on eta, so :func:`cell_queries` takes them once for a stack
 read in K eta cells and scales them by a (K, 1) column of the cells' node
 scales: one (K, N) final, whose row k each cell's query reads.  A single
 query and the cells of a stack share one product-and-scale formula
-(:func:`_werner_final`, :func:`_bds_final`).
+(:func:`_werner_final`, :func:`_bds_final`): each link product is one
+``math.prod`` from 1.0 in link order, as the node scale
+(:func:`_node_scale`) is in node order.  The Werner concurrence of a final
+is the formula :mod:`entswap.measures` states for a link.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError
-from .measures import FLAG_MARGIN, _positive_part, concurrence_bds
+from .measures import FLAG_MARGIN, _werner_concurrence, concurrence_bds
 from .states import BdsParams, _unchecked, check_visibility
 from .swap import NoiseModel
 
@@ -109,31 +112,20 @@ class BdsChainQuery:
 
 
 def _node_scale(etas: NoiseModel) -> float:
-    scale = 1.0
-    for eta in etas.etas:
-        scale *= eta / (4.0 - 3.0 * eta)
-    return scale
-
-
-def _product(links):
-    """Product of a chain's link values in link order, starting from 1.0.
-
-    Floats give a float.  (N,) columns, or the rows of an (n+1, N) stack,
-    give the (N,) array of each chain's product.
-    """
-    product = 1.0
-    for value in links:
-        product *= value
-    return product
+    """prod eta_i / (4 - 3 eta_i) over a chain's nodes, in node order."""
+    return math.prod((eta / (4.0 - 3.0 * eta) for eta in etas.etas), start=1.0)
 
 
 def _werner_final(ps, scale):
     """Visibility surviving a chain: the product of its visibilities times its node scale.
 
-    ``scale`` is one chain's node scale, or a (K, 1) column of K cells'
-    scales, which gives the (K, N) final of a stack read in K cells.
+    The product runs in link order from 1.0: floats give a float, and (N,)
+    columns, or the rows of an (n+1, N) stack, the (N,) array of each
+    chain's product.  ``scale`` is one chain's node scale, or a (K, 1)
+    column of K cells' scales, which gives the (K, N) final of a stack
+    read in K cells.
     """
-    return _product(ps) * scale
+    return math.prod(ps, start=1.0) * scale
 
 
 def _bds_final(t1s, t2s, t3s, scale, n: int) -> BdsParams:
@@ -144,7 +136,8 @@ def _bds_final(t1s, t2s, t3s, scale, n: int) -> BdsParams:
     swap.  ``t1s``, ``t2s`` and ``t3s`` hold each link's component and
     ``scale`` is as for :func:`_werner_final`.
     """
-    return BdsParams(scale * _product(t1s), scale * (-1.0) ** n * _product(t2s), scale * _product(t3s))
+    t1, t2, t3 = (math.prod(ts, start=1.0) for ts in (t1s, t2s, t3s))
+    return BdsParams(scale * t1, scale * (-1.0) ** n * t2, scale * t3)
 
 
 def cell_queries(links, cells) -> list:
@@ -178,7 +171,7 @@ def werner_final_visibility(query: WernerChainQuery) -> float | np.ndarray:
 
 def werner_chain_concurrence(query: WernerChainQuery) -> float | np.ndarray:
     """End-to-end concurrence max(0, (3 p_final - 1)/2) of a Werner chain."""
-    return _positive_part((3.0 * query.final - 1.0) / 2.0)
+    return _werner_concurrence(query.final)
 
 
 def werner_chain_fidelity(query: WernerChainQuery) -> float | np.ndarray:

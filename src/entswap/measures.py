@@ -77,6 +77,11 @@ def concurrence_werner(p: float | np.ndarray) -> float | np.ndarray:
     An array of visibilities gives an array of each member's value.
     """
     check_visibility(p)
+    return _werner_concurrence(p)
+
+
+def _werner_concurrence(p):
+    """max(0, (3p - 1)/2) of a visibility, or of each member of a stack, that was checked already."""
     return _positive_part((3.0 * p - 1.0) / 2.0)
 
 
@@ -94,10 +99,8 @@ def concurrence_bds(params: BdsParams | tuple) -> float | np.ndarray:
     if not isinstance(params, BdsParams):
         params = BdsParams(*(float(t) for t in params))
     lam = bell_weights(params.t1, params.t2, params.t3)
-    # one triple stays on Python floats with no helper call: a random sweep calls this once per drawn link
-    stack = isinstance(params.t1, np.ndarray)
-    c = 2.0 * (np.maximum.reduce(lam) if stack else max(lam)) - 1.0
-    return _positive_part(c) if stack else max(0.0, c)
+    largest = np.maximum.reduce(lam) if isinstance(params.t1, np.ndarray) else max(lam)
+    return _positive_part(2.0 * largest - 1.0)
 
 
 def teleportation_fidelity(state) -> float | np.ndarray:

@@ -204,7 +204,8 @@ class BdsParams:
     Valid triples are the points of the tetrahedron whose four vertex
     weights (the Bell-basis eigenvalues) are all non-negative.  Three
     float arrays of one shape make a stack of triples, one per entry,
-    each member checked alike; the arrays are copied read-only.
+    each member checked alike; the arrays are copied read-only.  Arrays
+    mixed with floats, in any order, are refused as a malformed stack.
     """
 
     t1: float | np.ndarray
@@ -213,7 +214,7 @@ class BdsParams:
 
     def __post_init__(self):
         t1, t2, t3 = self.t1, self.t2, self.t3
-        if isinstance(t1, np.ndarray):
+        if isinstance(t1, np.ndarray) or isinstance(t2, np.ndarray) or isinstance(t3, np.ndarray):
             self._check_stack()
             return
         # three plain checks: sample_state builds one of these for every accepted bds link
@@ -227,16 +228,17 @@ class BdsParams:
             )
 
     def _check_stack(self) -> None:
-        columns = [np.array(t, dtype=float) for t in self.as_tuple()]
-        if not all(isinstance(t, np.ndarray) for t in self.as_tuple()) or len({c.shape for c in columns}) > 1:
+        t1, t2, t3 = columns = [np.array(t, dtype=float) for t in self.as_tuple()]
+        if not all(isinstance(t, np.ndarray) for t in self.as_tuple()) or not t1.shape == t2.shape == t3.shape:
             raise InvalidParametersError("a stack of correlation triples needs three arrays of one shape")
         for column, name in zip(columns, ("t1", "t2", "t3")):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         # finiteness first: an inf - inf in the eigenvalues would warn
-        bad = ~np.isfinite(columns).all(axis=0)
+        bad = ~(np.isfinite(t1) & np.isfinite(t2) & np.isfinite(t3))
         if not bad.any():
-            bad = np.minimum.reduce(self.eigenvalues()) < -PSD_TOL
+            w0, w1, w2, w3 = bell_weights(t1, t2, t3)
+            bad = np.minimum(np.minimum(w0, w1), np.minimum(w2, w3)) < -PSD_TOL
         if bad.any():
             _raise_first_failure(lambda t: BdsParams(*t), zip(*(c[bad].tolist() for c in columns)))
 
@@ -346,12 +348,10 @@ def pauli_decompose(state) -> BlochForm:
     expectations = np.einsum("kij,...ji->...k", _BLOCH_STACK, m).real
     if not isinstance(state, TwoQubitState):
         return BlochForm(expectations[..., :3], expectations[..., 3:6], expectations[..., 6:])
-    form = object.__new__(BlochForm)
-    for name, values in (("r", expectations[:3]), ("s", expectations[3:6]), ("T", expectations[6:].reshape(3, 3))):
-        field = values.copy()
+    fields = {"r": expectations[:3].copy(), "s": expectations[3:6].copy(), "T": expectations[6:].reshape(3, 3).copy()}
+    for field in fields.values():
         field.flags.writeable = False
-        object.__setattr__(form, name, field)
-    return form
+    return _unchecked(BlochForm, **fields)
 
 
 def tensor(left: TwoQubitState, right: TwoQubitState) -> FourQubitState:

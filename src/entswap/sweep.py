@@ -45,7 +45,14 @@ from .closedform import (
     werner_final_visibility,
 )
 from .errors import ConfigError, InvalidStateError
-from .measures import concurrence, concurrence_bds, concurrence_werner, flags, teleportation_fidelity
+from .measures import (
+    _werner_concurrence,
+    concurrence,
+    concurrence_bds,
+    concurrence_werner,
+    flags,
+    teleportation_fidelity,
+)
 from .states import (
     BdsParams,
     TwoQubitState,
@@ -409,11 +416,7 @@ def _parameter_stack(family: str, params):
         stack = np.array([p.p for p in links]).reshape(shape)
         check_visibility(stack)
         return stack
-    return BdsParams(
-        np.array([t.t1 for t in links]).reshape(shape),
-        np.array([t.t2 for t in links]).reshape(shape),
-        np.array([t.t3 for t in links]).reshape(shape),
-    )
+    return BdsParams(*np.array([[t.t1 for t in links], [t.t2 for t in links], [t.t3 for t in links]]).reshape(3, *shape))
 
 
 def input_concurrences(family: str, link_params) -> tuple[float, ...]:
@@ -435,7 +438,7 @@ def _stacked_input_concurrences(family: str, engine: str, params, links) -> list
         c_in = concurrence(links)
     else:
         stack = links if engine == "closedform" else _parameter_stack(family, params)
-        c_in = (concurrence_werner if family == "werner" else concurrence_bds)(stack)
+        c_in = (_werner_concurrence if family == "werner" else concurrence_bds)(stack)
     return [tuple(chain) for chain in c_in.T.tolist()]
 
 

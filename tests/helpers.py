@@ -7,7 +7,9 @@ implementations.  reference_sample_state keeps an earlier form of the
 Werner and Bell-diagonal draws, against which the sampler is pinned, and
 reference_paper_step and reference_povm_step an earlier form of the
 oracle's swap steps, and reference_closedform_end_state an earlier route
-to the closedform engine's end state.
+to the closedform engine's end state.  reference_node_scale and
+reference_closedform_final keep the loops that took the closed forms'
+node scales and finals before they became math.prod calls.
 """
 
 import math
@@ -193,14 +195,37 @@ def reference_closedform_end_state(family, link_params, etas):
         ts = [(-p.p, -p.p, -p.p) for p in link_params]
     else:
         ts = [t.as_tuple() for t in link_params]
-    etas = [float(eta) for eta in etas]
+    final = BdsParams(*reference_closedform_final("bds", ts, [float(eta) for eta in etas]))
+    return make_bell_diagonal(final).matrix
+
+
+# The closed forms' node scale and final parameters, each product taken by
+# an explicit loop from 1.0 in node or link order.  math.prod runs the same
+# multiplications in the same order, so the package must match these bit for
+# bit, on floats and on (N,) columns alike.
+def reference_node_scale(etas):
+    """prod eta / (4 - 3 eta), node by node."""
     scale = 1.0
     for eta in etas:
         scale *= eta / (4.0 - 3.0 * eta)
+    return scale
+
+
+def reference_closedform_final(family, links, etas):
+    """Final visibility, or final (t1, t2, t3), of a Werner or BDS chain of len(etas) swaps.
+
+    ``links`` holds the chain's visibilities or correlation triples, as
+    floats or as (N,) columns of a stack of N chains.
+    """
+    scale = reference_node_scale(etas)
+    if family == "werner":
+        product = 1.0
+        for p in links:
+            product *= p
+        return product * scale
     c1 = c2 = c3 = 1.0
-    for t1, t2, t3 in ts:
+    for t1, t2, t3 in links:
         c1 *= t1
         c2 *= t2
         c3 *= t3
-    final = BdsParams(scale * c1, scale * (-1.0) ** len(etas) * c2, scale * c3)
-    return make_bell_diagonal(final).matrix
+    return (scale * c1, scale * (-1.0) ** len(etas) * c2, scale * c3)

@@ -36,6 +36,8 @@ from helpers import (
     different_eta_werner_concurrence,
     perfect_werner_concurrence,
     random_tetrahedron_point,
+    reference_closedform_final,
+    reference_node_scale,
     same_eta_werner_concurrence,
     tripartite_ratio_werner_concurrence,
 )
@@ -423,3 +425,59 @@ def test_queries_take_a_plain_tuple_of_etas():
             WernerChainQuery(ps, bad)
         with pytest.raises(DomainError):
             BdsChainQuery(ts, bad)
+
+
+# signed zeros, subnormals and the bounds, drawn often among random values
+_SPECIAL_LINKS = {
+    "werner": [0.0, -0.0, 1.0, 5e-324, 2.5e-308, 1.0 / 3.0],
+    "bds": [(0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (5e-324, -5e-324, 0.0), (2.5e-308, 1e-310, -0.0),
+            (1.0, -1.0, 1.0), (-1.0, -1.0, -1.0)],
+}
+_SPECIAL_ETAS = [0.0, 1.0, 5e-324, 1e-310]
+
+
+def _uniform(rng):
+    return float(rng.random())
+
+
+def _loop_route_draws(rng, count, special, draw):
+    """``count`` values, each one of ``special`` with probability 1/3, else draw(rng)."""
+    return [special[rng.integers(len(special))] if rng.random() < 1.0 / 3.0 else draw(rng) for _ in range(count)]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+def test_finals_and_node_scales_equal_the_loop_route_bit_for_bit(family):
+    # a chain's product runs from 1.0 in link order, its node scale in node order:
+    # single queries, the cells of a stack and _node_scale must give the loops' bits
+    rng = np.random.default_rng(20 if family == "werner" else 21)
+    draw_link = _uniform if family == "werner" else random_tetrahedron_point
+    for n in range(1, 9):
+        for _ in range(25):
+            links = _loop_route_draws(rng, n + 1, _SPECIAL_LINKS[family], draw_link)
+            etas = tuple(_loop_route_draws(rng, n, _SPECIAL_ETAS, _uniform))
+            noise = NoiseModel(etas)
+            assert _bits(closedform_module._node_scale(noise)) == _bits(reference_node_scale(etas)), etas
+            if family == "werner":
+                final = WernerChainQuery(tuple(links), noise).final
+            else:
+                final = BdsChainQuery(tuple(BdsParams(*t) for t in links), noise).final.as_tuple()
+            expected = reference_closedform_final(family, links, etas)
+            assert _bits(final) == _bits(expected), (links, etas)
+            # a single chain still gives Python floats
+            assert all(type(value) is float for value in ((final,) if family == "werner" else final))
+        # 7 chains of n swaps read in 4 cells: row k of the (n+1, 7) stack holds every chain's k-th link
+        chains = [_loop_route_draws(rng, n + 1, _SPECIAL_LINKS[family], draw_link) for _ in range(7)]
+        cells = [tuple(_loop_route_draws(rng, n, _SPECIAL_ETAS, _uniform)) for _ in range(4)]
+        if family == "werner":
+            stack = np.array(chains).T
+            columns = list(stack)
+        else:
+            stack = BdsParams(*np.array(chains).transpose(2, 1, 0))
+            columns = list(zip(stack.t1, stack.t2, stack.t3))
+        for etas, query in zip(cells, closedform_module.cell_queries(stack, [NoiseModel(e) for e in cells])):
+            final = query.final if family == "werner" else query.final.as_tuple()
+            assert _bits(final) == _bits(reference_closedform_final(family, columns, etas)), (chains, etas)

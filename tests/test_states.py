@@ -367,6 +367,18 @@ def test_bds_params_reject_non_finite(triple):
         BdsParams(*triple)
 
 
+@pytest.mark.parametrize("triple", [
+    (0.5, np.array([0.1, 0.2]), np.array([0.1, 0.2])),
+    (np.array([0.1, 0.2]), 0.5, 0.5),
+    (0.5, 0.5, np.array([0.1, 0.2])),
+], ids=["float-first", "array-first", "array-last"])
+def test_bds_params_refuse_arrays_mixed_with_floats_in_either_order(triple):
+    # an array among floats is a malformed stack, whichever component holds it
+    with pytest.raises(InvalidParametersError) as info:
+        BdsParams(*triple)
+    assert str(info.value) == "a stack of correlation triples needs three arrays of one shape"
+
+
 def _signed_zeros(m, negative):
     """m with every zero real or imaginary part turned into -0.0 when ``negative`` is set."""
     m = m.copy()

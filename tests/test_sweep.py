@@ -40,6 +40,7 @@ from entswap import (
     write_summary_json,
 )
 from entswap import closedform as closedform_module
+from entswap import measures as measures_module
 from entswap import sweep as sweep_module
 from entswap.closedform import cell_queries
 from entswap.measures import FLAG_MARGIN, flags
@@ -1540,6 +1541,27 @@ def test_werner_chunks_check_their_link_stack_once(monkeypatch):
     monkeypatch.setattr(sweep_module, "check_visibility", counting)
     run_sweep(SweepConfig(family="werner", mode="grid", grid_steps=6, n_repeaters=[1, 3], eta_spec=[0.8, 0.9, 1.0]))
     assert calls[0] == 4
+
+
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_random_werner_chunks_check_their_visibility_stack_once(monkeypatch, engine):
+    # a chunk's c_in reads the stack _parameter_stack checked, on both engines;
+    # no closed form or concurrence checks it, or any part of it, again
+    calls = [0]
+    for module in (sweep_module, measures_module, closedform_module):
+        check = module.check_visibility
+
+        def counting(p, check=check):
+            calls[0] += isinstance(p, np.ndarray)
+            return check(p)
+
+        monkeypatch.setattr(module, "check_visibility", counting)
+    # 16 chains a stack: 30 samples make 2 closedform chunks per n, or 4 oracle chunks of 8 samples in 2 cells
+    monkeypatch.setattr(sweep_module, "CHUNK_SIZE", 16)
+    records, _ = run_sweep(SweepConfig(family="werner", sample_count=30, n_repeaters=[1, 2], eta_spec=[0.8, 1.0],
+                                       seed=5, engine=engine))
+    assert len(records) == 2 * 2 * 30
+    assert calls[0] == 2 * (2 if engine == "closedform" else 4)
 
 
 @pytest.mark.parametrize("config", [
