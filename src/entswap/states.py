@@ -28,13 +28,17 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (_I2, _SX, _SY, _SZ)
 
 _S2 = 1.0 / np.sqrt(2.0)
-#: Bell-state kets; |psi-> carries amplitudes (|01> - |10>)/sqrt(2).
+#: Bell-state kets, documenting the phases only: |psi-> carries amplitudes
+#: (|01> - |10>)/sqrt(2).  Their 1/sqrt(2) is rounded; the Bell basis is bell_state's.
 BELL_KETS = {
     "phi+": np.array([_S2, 0, 0, _S2], dtype=complex),
     "phi-": np.array([_S2, 0, 0, -_S2], dtype=complex),
     "psi+": np.array([0, _S2, _S2, 0], dtype=complex),
     "psi-": np.array([0, _S2, -_S2, 0], dtype=complex),
 }
+
+# Correlation triples of the Bell states, the vertices of the tetrahedron.
+_BELL_TRIPLES = {"phi+": (1, -1, 1), "phi-": (-1, 1, 1), "psi+": (1, 1, -1), "psi-": (-1, -1, -1)}
 
 #: Two-qubit Pauli products, _PAIR[i, j] = sigma_i (x) sigma_j, shape (4, 4, 4, 4).
 _PAIR = np.array([[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)])
@@ -285,22 +289,21 @@ def bell_state(index: str) -> TwoQubitState:
 
     ``index`` is one of ``phi+``, ``phi-``, ``psi+``, ``psi-`` with the
     phase conventions |phi+-> = (|00> +- |11>)/sqrt(2) and
-    |psi+-> = (|01> +- |10>)/sqrt(2).
+    |psi+-> = (|01> +- |10>)/sqrt(2).  It is the Bell-diagonal state of its
+    tetrahedron vertex, a Pauli sum exact in binary: entswap's one Bell basis.
     """
     try:
-        ket = BELL_KETS[index]
-    except KeyError:
+        triple = _BELL_TRIPLES[index]
+    except (KeyError, TypeError):
         raise DomainError(f"unknown Bell state {index!r}") from None
-    return TwoQubitState(np.outer(ket, ket.conj()))
+    return make_bell_diagonal(triple)
 
 
 def make_werner(params: WernerParams | float) -> TwoQubitState:
     """Build ((1-p)/4) I + p |psi-><psi-| for visibility p in [0, 1]."""
     if not isinstance(params, WernerParams):
         params = WernerParams(float(params))
-    ket = BELL_KETS["psi-"]
-    m = (1.0 - params.p) / 4.0 * np.eye(4, dtype=complex) + params.p * np.outer(ket, ket.conj())
-    return TwoQubitState(m)
+    return TwoQubitState((1.0 - params.p) / 4.0 * np.eye(4, dtype=complex) + params.p * _PSI_MINUS)
 
 
 def make_bell_diagonal(params: BdsParams | tuple) -> TwoQubitState:
@@ -311,6 +314,9 @@ def make_bell_diagonal(params: BdsParams | tuple) -> TwoQubitState:
     for i, t in enumerate(params.as_tuple(), start=1):
         m = m + t * _PAIR[i, i]
     return TwoQubitState(m / 4.0)
+
+
+_PSI_MINUS = bell_state("psi-").matrix  # the singlet projector that make_werner mixes with noise
 
 
 def make_general(bloch: BlochForm) -> TwoQubitState:

@@ -18,12 +18,12 @@ a swap reads vec R @ (vec L @ table) and never forms the joined 16x16
 state.  The tables are the conditional-state formula
 (:func:`_corrected_conditionals`) applied to every pair of matrix units,
 with the operators of :func:`noisy_bell_measurement_ops` at eta = 1 (the
-Bell projectors) and at eta = 0 (I_4/4 each).  The operators are linear
-in eta, so a povm step is the eta-weighted mix of the two.  Every chain
-step, in both modes, reads the step table of outcome sums (a paper step
-only its perfect half, kept as a table of its own); only
-:func:`swap_once_perfect` reads the outcome table, for its per-outcome
-results.
+Bell projectors, :func:`entswap.states.bell_state`'s exact Pauli sums) and
+at eta = 0 (I_4/4 each).  The operators are linear in eta, so a povm step
+is the eta-weighted mix of the two.  Every chain step, in both modes,
+reads the step table of outcome sums (a paper step only its perfect
+half, kept as a table of its own); only :func:`swap_once_perfect` reads
+the outcome table, for its per-outcome results.
 
 The kernels take (..., 4, 4) stacks of links, one pair per sample on the
 leading axes; one chain is the case without leading axes.  A sweep
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainSwapError, DomainError, EntswapError
-from .states import _PAIR, BELL_KETS, TwoQubitState
+from .states import _PAIR, TwoQubitState, bell_state
 
 #: Bell measurement outcomes in a fixed reporting order.
 OUTCOME_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -52,9 +52,7 @@ NEGLIGIBLE_PROBABILITY = 1e-14
 
 _EYE4 = np.eye(4, dtype=complex)
 
-_PROJECTORS = tuple(
-    np.outer(BELL_KETS[label], BELL_KETS[label].conj()) for label in OUTCOME_LABELS
-)
+_PROJECTORS = tuple(bell_state(label).matrix for label in OUTCOME_LABELS)
 
 # Outcome correction on the right-hand qubit.  Each Bell state carries a
 # Pauli label via |B_sigma> = (I (x) sigma)|phi+>; undoing that label folds

@@ -62,6 +62,34 @@ def test_bell_state_bad_index():
         bell_state("bell")
 
 
+@pytest.mark.parametrize("index", [["phi+"], {}, None])
+def test_bell_state_rejects_unhashable_and_non_string_indices(index):
+    with pytest.raises(DomainError, match="unknown Bell state"):
+        bell_state(index)
+
+
+def test_bell_basis_is_exact_in_binary():
+    # each Bell projector is the Pauli sum (I + t1 XX + t2 YY + t3 ZZ)/4 of its tetrahedron
+    # vertex, whose entries 0, +-1/2 and +-i/2 are exact: traces are 1 and the noisy
+    # measurement operators sum to I_4 with no rounding
+    from entswap import noisy_bell_measurement_ops
+    from entswap.states import _PAIR, BELL_KETS
+
+    vertices = {"phi+": (1, -1, 1), "phi-": (-1, 1, 1), "psi+": (1, 1, -1), "psi-": (-1, -1, -1)}
+    for name, (t1, t2, t3) in vertices.items():
+        m = bell_state(name).matrix
+        assert np.array_equal(m, (_PAIR[0, 0] + t1 * _PAIR[1, 1] + t2 * _PAIR[2, 2] + t3 * _PAIR[3, 3]) / 4), name
+        assert m.trace() == 1.0, name
+        # the kets document the phases: their projectors are these up to the rounding of 1/sqrt(2)
+        ket = BELL_KETS[name]
+        assert np.abs(np.outer(ket, ket.conj()) - m).max() <= 2.3e-16, name
+    for p in (0.9, 1.0):
+        assert make_werner(p).matrix.trace() == 1.0, p
+    assert np.array_equal(make_werner(1.0).matrix, bell_state("psi-").matrix)
+    for eta in (0.0, 1.0):
+        assert np.array_equal(sum(noisy_bell_measurement_ops(eta)), np.eye(4)), eta
+
+
 def test_make_werner_limits():
     assert np.abs(make_werner(0.0).matrix - EYE4).max() < 1e-15
     assert np.abs(make_werner(1.0).matrix - bell_state("psi-").matrix).max() < 1e-15
@@ -215,9 +243,11 @@ def test_states_with_an_exact_zero_eigenvalue_pass_unchanged():
     bds = np.eye(4, dtype=complex)
     for i, t in enumerate((0.5, -0.5, 0.0), start=1):
         bds = bds + t * _PAIR[i, i]
-    # the matrices bell_state("phi+"), make_werner(1.0) and make_bell_diagonal((0.5, -0.5, 0.0)) validate
+    # the ket-built projectors of phi+ and of a p = 1 Werner state, bell_state("phi+") as built from
+    # its Pauli sum, and the matrix make_bell_diagonal((0.5, -0.5, 0.0)) validates
     candidates = {
         "phi+": np.outer(phi, phi.conj()),
+        "bell_state phi+": bell_state("phi+").matrix,
         "werner p=1": (1.0 - 1.0) / 4.0 * np.eye(4, dtype=complex) + 1.0 * np.outer(psi, psi.conj()),
         "bds (0.5, -0.5, 0)": bds / 4.0,
     }

@@ -282,6 +282,32 @@ def test_swap_tables_are_the_16x16_definition_exactly():
     assert np.array_equal(_STEP_TABLE.reshape(step.shape), step)
 
 
+def test_step_table_maps_every_pair_of_pauli_products_exactly():
+    # the step is bilinear in (L, R), so its value on the 256 ordered pairs of Pauli products
+    # (sigma_a x sigma_b, sigma_c x sigma_d) fixes it on every pair of links.  Read back as
+    # Theta_ij = Tr(rho sigma_i x sigma_j), part 0 is Theta_L diag(Theta_R00, Theta_R11, -Theta_R22,
+    # Theta_R33) and part 1 is column 0 of Theta_L times Theta_R00; every entry on both sides is
+    # dyadic, so the equality is exact on any BLAS kernel
+    from entswap.states import _PAIR
+    from entswap.swap import _STEP_TABLE, _bilinear
+
+    products = _PAIR.reshape(16, 4, 4)
+    left = np.broadcast_to(products[:, None], (16, 16, 4, 4))
+    right = np.broadcast_to(products[None, :], (16, 16, 4, 4))
+    parts = _bilinear(_STEP_TABLE, left, right)
+
+    def frame(m):
+        return np.einsum("ijab,...ba->...ij", _PAIR, m)
+
+    theta_l, theta_r = frame(left), frame(right)
+    r00 = theta_r[..., 0, 0, None, None]
+    perfect = theta_l * (np.diagonal(theta_r, axis1=-2, axis2=-1) * [1, 1, -1, 1])[..., None, :]
+    noise = np.zeros_like(theta_l)
+    noise[..., 0] = theta_l[..., 0]
+    assert np.array_equal(frame(parts[..., 0, :, :]), perfect)
+    assert np.array_equal(frame(parts[..., 1, :, :]), noise * r00)
+
+
 @pytest.mark.parametrize("mode", ["paper", "povm"])
 def test_chain_rejects_unvalidated_bare_link(mode):
     # a trace-2 array must not pass as a link, however the chain is read
