@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DomainError
 from .measures import FLAG_MARGIN, _werner_concurrence, concurrence_bds
 from .states import BdsParams, _unchecked, check_visibility
-from .swap import NoiseModel
+from .swap import NoiseModel, _as_noise
 
 #: Returned by max_entangled_swaps when no number of swaps kills entanglement.
 UNBOUNDED = math.inf
@@ -67,8 +67,7 @@ class WernerChainQuery:
     def __post_init__(self):
         ps = tuple(np.array(p, dtype=float) if isinstance(p, np.ndarray) else float(p) for p in self.ps)
         object.__setattr__(self, "ps", ps)
-        if not isinstance(self.etas, NoiseModel):
-            object.__setattr__(self, "etas", NoiseModel(tuple(self.etas)))
+        object.__setattr__(self, "etas", _as_noise(self.etas))
         self.etas.check_links(len(ps))
         _check_stack_shapes(ps)
         for p in ps:
@@ -99,8 +98,7 @@ class BdsChainQuery:
             "ts",
             tuple(t if isinstance(t, BdsParams) else BdsParams(*t) for t in self.ts),
         )
-        if not isinstance(self.etas, NoiseModel):
-            object.__setattr__(self, "etas", NoiseModel(tuple(self.etas)))
+        object.__setattr__(self, "etas", _as_noise(self.etas))
         self.etas.check_links(len(self.ts))
         _check_stack_shapes([t.t1 for t in self.ts])
 

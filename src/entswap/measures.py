@@ -12,6 +12,7 @@ from .states import (
     _PAIR,
     BdsParams,
     TwoQubitState,
+    _as_bds_params,
     _as_matrix,
     bell_weights,
     check_visibility,
@@ -96,8 +97,7 @@ def concurrence_bds(params: BdsParams | tuple) -> float | np.ndarray:
     Equals max(0, 2 L - 1) with L the largest Bell-basis eigenvalue.  A
     BdsParams stack gives an array of each member's value.
     """
-    if not isinstance(params, BdsParams):
-        params = BdsParams(*(float(t) for t in params))
+    params = _as_bds_params(params)
     lam = bell_weights(params.t1, params.t2, params.t3)
     largest = np.maximum.reduce(lam) if isinstance(params.t1, np.ndarray) else max(lam)
     return _positive_part(2.0 * largest - 1.0)
@@ -127,8 +127,7 @@ def teleportation_fidelity(state) -> float | np.ndarray:
 
 def octahedron_separable(params: BdsParams | tuple) -> bool:
     """True iff |t1| + |t2| + |t3| <= 1 (the boundary counts as separable)."""
-    if not isinstance(params, BdsParams):
-        params = BdsParams(*(float(t) for t in params))
+    params = _as_bds_params(params)
     return abs(params.t1) + abs(params.t2) + abs(params.t3) <= 1.0
 
 

@@ -58,6 +58,14 @@ def _any(mask) -> bool:
     return bool(mask.any() if mask.ndim else mask)
 
 
+def _in_unit_interval(x) -> bool:
+    """0 <= x <= 1; False for NaN and for what does not compare as one number, such as a string, None or a list."""
+    try:
+        return bool(0.0 <= x <= 1.0)
+    except (TypeError, ValueError):
+        return False
+
+
 def _raise_first_failure(check, members) -> None:
     """Run ``check`` on each member of a stack alone, in order, until one raises.
 
@@ -197,7 +205,7 @@ def check_visibility(p: float | np.ndarray) -> None:
         outside = ~((0.0 <= p) & (p <= 1.0))
         if outside.any():
             _raise_first_failure(check_visibility, p[outside].tolist())
-    elif not 0.0 <= p <= 1.0:
+    elif not _in_unit_interval(p):
         raise DomainError(f"visibility must lie in [0, 1], got {p}")
 
 
@@ -222,8 +230,12 @@ class BdsParams:
             self._check_stack()
             return
         # three plain checks: sample_state builds one of these for every accepted bds link
-        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
-            raise InvalidParametersError(f"correlations {(t1, t2, t3)} must be finite")
+        try:
+            finite = math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)
+        except TypeError:  # a string, None or any other non-number
+            finite = False
+        if not finite:
+            raise InvalidParametersError(f"correlations {(t1, t2, t3)} must be finite numbers")
         smallest = min(bell_weights(t1, t2, t3))
         if smallest < -PSD_TOL:
             raise InvalidParametersError(
@@ -300,16 +312,43 @@ def bell_state(index: str) -> TwoQubitState:
 
 
 def make_werner(params: WernerParams | float) -> TwoQubitState:
-    """Build ((1-p)/4) I + p |psi-><psi-| for visibility p in [0, 1]."""
+    """Build ((1-p)/4) I + p |psi-><psi-| for visibility p in [0, 1].
+
+    A p that is not a number, or a stack of visibilities, raises InvalidParametersError.
+    """
     if not isinstance(params, WernerParams):
-        params = WernerParams(float(params))
+        try:
+            p = float(params)
+        except (TypeError, ValueError):
+            raise InvalidParametersError(f"a visibility is one number, got {params!r}") from None
+        params = WernerParams(p)
+    elif np.ndim(params.p):
+        raise InvalidParametersError("make_werner builds one state, got a stack of visibilities")
     return TwoQubitState((1.0 - params.p) / 4.0 * np.eye(4, dtype=complex) + params.p * _PSI_MINUS)
 
 
+def _as_bds_params(params) -> BdsParams:
+    """A BdsParams as is, a stack included; anything else read as three numbers and checked.
+
+    A wrong length or a non-number raises InvalidParametersError.
+    """
+    if isinstance(params, BdsParams):
+        return params
+    try:
+        t1, t2, t3 = map(float, params)
+    except (TypeError, ValueError):
+        raise InvalidParametersError(f"a correlation triple is three numbers, got {params!r}") from None
+    return BdsParams(t1, t2, t3)
+
+
 def make_bell_diagonal(params: BdsParams | tuple) -> TwoQubitState:
-    """Build (1/4)(I(x)I + sum_i t_i sigma_i (x) sigma_i)."""
-    if not isinstance(params, BdsParams):
-        params = BdsParams(*(float(t) for t in params))
+    """Build (1/4)(I(x)I + sum_i t_i sigma_i (x) sigma_i).
+
+    A triple that is not three numbers, or a stack of triples, raises InvalidParametersError.
+    """
+    params = _as_bds_params(params)
+    if np.ndim(params.t1):
+        raise InvalidParametersError("make_bell_diagonal builds one state, got a stack of triples")
     m = np.eye(4, dtype=complex)
     for i, t in enumerate(params.as_tuple(), start=1):
         m = m + t * _PAIR[i, i]

@@ -13,17 +13,15 @@ measurement with success probability eta:
   keeps entanglement of perfect links down to eta > 1/3.  For Werner and
   Bell-diagonal links rho_1 = I/2, so the noise term is I_4/4.
 
-The oracle reads bilinear tables built once at import (:func:`_swap_tables`):
-a swap reads vec R @ (vec L @ table) and never forms the joined 16x16
-state.  The tables are the conditional-state formula
-(:func:`_corrected_conditionals`) applied to every pair of matrix units,
-with the operators of :func:`noisy_bell_measurement_ops` at eta = 1 (the
-Bell projectors, :func:`entswap.states.bell_state`'s exact Pauli sums) and
-at eta = 0 (I_4/4 each).  The operators are linear in eta, so a povm step
-is the eta-weighted mix of the two.  Every chain step, in both modes,
-reads the step table of outcome sums (a paper step only its perfect
-half, kept as a table of its own); only :func:`swap_once_perfect` reads
-the outcome table, for its per-outcome results.
+The Bell measurement is stated once, as the conditional-state formula
+(:func:`_corrected_conditionals`).  Chain steps read two bilinear tables
+built from it at import (:func:`_swap_tables`) as vec R @ (vec L @ table),
+never forming the joined 16x16 state.  The perfect table sums the formula
+over outcomes with the Bell projectors (:func:`entswap.states.bell_state`'s
+exact Pauli sums), for paper steps.  The step table holds that sum beside
+the sum with I_4/4 as every operator, which a povm step mixes in by eta:
+the operators of :func:`noisy_bell_measurement_ops` are linear in eta.
+:func:`swap_once_perfect` applies the formula directly, per outcome.
 
 The kernels take (..., 4, 4) stacks of links, one pair per sample on the
 leading axes; one chain is the case without leading axes.  A sweep
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainSwapError, DomainError, EntswapError
-from .states import _PAIR, TwoQubitState, bell_state
+from .states import _PAIR, TwoQubitState, _in_unit_interval, bell_state
 
 #: Bell measurement outcomes in a fixed reporting order.
 OUTCOME_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -97,7 +95,7 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 
 def _check_eta(eta: float) -> float:
-    if not 0.0 <= eta <= 1.0:
+    if not _in_unit_interval(eta):
         raise DomainError(f"measurement success probability must lie in [0, 1], got {eta}")
     return float(eta)
 
@@ -109,7 +107,10 @@ class NoiseModel:
     etas: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "etas", tuple(_check_eta(e) for e in self.etas))
+        try:
+            object.__setattr__(self, "etas", tuple(map(_check_eta, self.etas)))
+        except TypeError:  # not a sequence; _check_eta refuses a non-number member itself
+            raise DomainError(f"etas must be a sequence of success probabilities, got {self.etas!r}") from None
 
     def __len__(self) -> int:
         return len(self.etas)
@@ -148,11 +149,16 @@ def _as_state(state) -> TwoQubitState:
     return state if isinstance(state, TwoQubitState) else TwoQubitState(state)
 
 
+def _as_noise(noise) -> NoiseModel:
+    """A NoiseModel as is; any other sequence of etas checked as one."""
+    return noise if isinstance(noise, NoiseModel) else NoiseModel(noise)
+
+
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
     """An ordered run of n+1 links with one measuring node between each pair.
 
-    A link that is not a TwoQubitState is validated as one.
+    Links that are not TwoQubitStates, and etas not a NoiseModel, are checked as such.
     """
 
     links: tuple[TwoQubitState, ...]
@@ -160,6 +166,7 @@ class ChainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(map(_as_state, self.links)))
+        object.__setattr__(self, "noise", _as_noise(self.noise))
         _check_chain(self.noise, len(self.links))
 
     @property
@@ -185,37 +192,27 @@ def noisy_bell_measurement_ops(eta: float) -> list[np.ndarray]:
 
 
 def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The swap of links L and R as bilinear maps of vec L and vec R.
+    """The perfect and step tables: the swap of L and R as bilinear maps of vec L and vec R.
 
-    Each entry is :func:`_corrected_conditionals` of one pair of matrix
-    units, L = E_u and R = E_v; rows are vec L.  The outcome table's
-    columns are (vec R, outcome, vec out) and hold the corrected
-    conditionals of the perfect measurement (eta = 1); only
-    swap_once_perfect reads it.  The step table's columns are (vec R,
-    part, vec out): part 0 is their sum over outcomes, which every chain
-    step reads, and part 1 the same sum at eta = 0, the povm noise term.
-    Paper steps read part 0 alone, copied out as _PERFECT_TABLE.
+    Each entry sums :func:`_corrected_conditionals` of one pair of matrix
+    units, L = E_u and R = E_v, over the outcomes; rows are vec L.  The
+    perfect table's columns are (vec R, vec out), the sum at eta = 1.  The
+    step table's columns are (vec R, part, vec out): part 0 is that sum and
+    part 1 the sum at eta = 0, the povm noise term.
     """
     unit = np.eye(16, dtype=complex).reshape(16, 4, 4)
     perfect, noise = (
-        _corrected_conditionals(noisy_bell_measurement_ops(eta), unit[:, None], unit[None, :])
+        _corrected_conditionals(noisy_bell_measurement_ops(eta), unit[:, None], unit[None, :]).sum(axis=2)
         for eta in (1.0, 0.0)
     )
-    step = np.stack([perfect.sum(axis=2), noise.sum(axis=2)], axis=2)
-    return perfect.reshape(16, -1), step.reshape(16, -1)
+    return perfect.reshape(16, -1), np.stack([perfect, noise], axis=2).reshape(16, -1)
 
 
-# Built once at import: per-outcome results read the first, every chain step the second.
-_OUTCOME_TABLE, _STEP_TABLE = _swap_tables()
-# The step table's part 0 as its own contiguous (16, 256) table, read by paper steps.
-_PERFECT_TABLE = np.ascontiguousarray(_STEP_TABLE.reshape(16, 16, 2, 16)[:, :, 0]).reshape(16, -1)
+_PERFECT_TABLE, _STEP_TABLE = _swap_tables()
 
 
 def _perfect_average(left_m: np.ndarray, right_m: np.ndarray) -> np.ndarray:
-    """The perfect swap averaged over its four corrected outcomes, normalized.
-
-    It reads only the perfect half of the step table.
-    """
+    """The perfect swap averaged over its four corrected outcomes, normalized."""
     return _normalize(_bilinear(_PERFECT_TABLE, left_m, right_m)[..., 0, :, :])
 
 
@@ -232,7 +229,7 @@ def swap_once_perfect(left: TwoQubitState, right: TwoQubitState) -> SwapResult:
     left_m, right_m = _as_state(left).matrix, _as_state(right).matrix
     # unnormalized corrected conditionals; the corrections are unitary, so
     # their traces are the outcome probabilities
-    corrected = _bilinear(_OUTCOME_TABLE, left_m, right_m)
+    corrected = _corrected_conditionals(_PROJECTORS, left_m, right_m)
     probs = corrected.trace(axis1=-2, axis2=-1).real
     outcomes = tuple(
         SwapOutcome(label, p, None, True)

@@ -14,9 +14,11 @@ from entswap import (
     apply_local,
     bell_state,
     concurrence,
+    concurrence_bds,
     make_bell_diagonal,
     make_general,
     make_werner,
+    octahedron_separable,
     partial_trace_mid,
     pauli_decompose,
     tensor,
@@ -407,6 +409,42 @@ def test_bds_params_refuse_arrays_mixed_with_floats_in_either_order(triple):
     with pytest.raises(InvalidParametersError) as info:
         BdsParams(*triple)
     assert str(info.value) == "a stack of correlation triples needs three arrays of one shape"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_bell_diagonal((1, 2)),
+    lambda: make_bell_diagonal((0.1, 0.2, 0.3, 0.4)),
+    lambda: make_bell_diagonal("abc"),
+    lambda: make_bell_diagonal(None),
+    lambda: make_bell_diagonal(BdsParams(*np.zeros((3, 2)))),
+    lambda: make_werner("x"),
+    lambda: make_werner(None),
+    lambda: make_werner(np.array([0.5, 0.6])),
+    lambda: make_werner(WernerParams(np.array([0.5, 0.6]))),
+    lambda: concurrence_bds((1, 2)),
+    lambda: octahedron_separable("ab"),
+], ids=[
+    "bds-two-numbers", "bds-four-numbers", "bds-string", "bds-none", "bds-stack",
+    "werner-string", "werner-none", "werner-array", "werner-stack",
+    "concurrence-bds-two-numbers", "octahedron-string",
+])
+def test_family_parameters_of_the_wrong_length_or_kind_raise_invalid_parameters(build):
+    # a wrong length, a non-number, or a stack where one state is built raises an entswap error,
+    # not a raw TypeError, ValueError or numpy broadcast error
+    with pytest.raises(InvalidParametersError):
+        build()
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: WernerParams("x"), DomainError),
+    (lambda: WernerParams(None), DomainError),
+    (lambda: WernerParams([0.5]), DomainError),
+    (lambda: BdsParams("a", 0, 0), InvalidParametersError),
+    (lambda: BdsParams(0, 0, None), InvalidParametersError),
+], ids=["werner-string", "werner-none", "werner-list", "bds-string", "bds-none"])
+def test_parameters_refuse_non_numbers(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def _signed_zeros(m, negative):

@@ -256,7 +256,7 @@ def test_swap_tables_are_the_16x16_definition_exactly():
     # with M_o the operators at eta = 1 and eta = 0; every entry is dyadic, so both routes are exact
     from entswap import partial_trace_mid
     from entswap.states import PAULI
-    from entswap.swap import _OUTCOME_TABLE, _STEP_TABLE
+    from entswap.swap import _PROJECTORS, _STEP_TABLE, _corrected_conditionals
 
     i2 = np.eye(2, dtype=complex)
     corr_by_label = {"phi+": PAULI[0], "psi+": PAULI[1], "psi-": PAULI[2], "phi-": PAULI[3]}
@@ -278,7 +278,7 @@ def test_swap_tables_are_the_16x16_definition_exactly():
                 if eta == 1.0:
                     outcomes[u, v] = conditionals
                 step[u, v, part] = sum(conditionals)
-    assert np.array_equal(_OUTCOME_TABLE.reshape(outcomes.shape), outcomes)
+    assert np.array_equal(_corrected_conditionals(_PROJECTORS, units[:, None], units[None, :]), outcomes)
     assert np.array_equal(_STEP_TABLE.reshape(step.shape), step)
 
 
@@ -422,6 +422,37 @@ def test_chain_spec_validation():
         NoiseModel((1.2,))
     with pytest.raises(DomainError):
         chain_swap(ChainSpec((link, link), NoiseModel((1.0,))), mode="magic")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NoiseModel(("x",)),
+    lambda: NoiseModel((None,)),
+    lambda: NoiseModel((0.9, np.array([0.5, 0.6]))),
+    lambda: NoiseModel(0.9),
+    lambda: swap_once(make_werner(0.9), make_werner(0.9), "x"),
+    lambda: noisy_bell_measurement_ops(None),
+], ids=["string", "none", "array", "not-a-sequence", "swap-once-string", "ops-none"])
+def test_success_probabilities_refuse_non_numbers(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_chain_and_queries_check_any_sequence_of_etas_as_a_noise_model():
+    # ChainSpec reads plain etas as both closed-form queries do; a non-sequence is a DomainError
+    from entswap import BdsChainQuery, WernerChainQuery
+
+    link = make_werner(0.9)
+    builds = (
+        lambda etas: ChainSpec((link, link), etas).noise,
+        lambda etas: WernerChainQuery((0.9, 0.9), etas).etas,
+        lambda etas: BdsChainQuery(((1.0, -1.0, 1.0),) * 2, etas).etas,
+    )
+    for build in builds:
+        assert build((0.9,)) == build([0.9]) == build(np.array([0.9])) == NoiseModel((0.9,))
+        with pytest.raises(DomainError, match="sequence"):
+            build(0.9)
+    spec = ChainSpec((link, link), (0.9,))
+    assert np.array_equal(chain_swap(spec).matrix, swap_once(link, link, 0.9).matrix)
 
 
 def test_link_count_rule_is_shared():
