@@ -225,9 +225,9 @@ def test_zero_heavy_sweeps_keep_their_bytes(tmp_path, name):
     assert digests == (csv_digest, summary_digest)
 
 
-# sha256 of the CSV and summary of three oracle sweeps, with their record counts: a general
-# povm sweep whose cells include eta 0 and 1, a Werner paper grid of per-node eta lists and a
-# Bell-diagonal povm sweep
+# sha256 of the CSV and summary of four oracle sweeps, with their record counts: a general
+# povm sweep whose cells include eta 0 and 1, a Werner paper grid of per-node eta lists, a
+# Bell-diagonal povm sweep and a Bell-diagonal povm grid whose cells include eta 0 and 1
 _GOLDEN_ORACLE_SWEEPS = {
     "general-povm": (
         SweepConfig(family="general", sample_count=25, n_repeaters=[1, 3], eta_spec=[0.0, 0.6, 1.0], seed=29,
@@ -250,6 +250,13 @@ _GOLDEN_ORACLE_SWEEPS = {
         "674c55b404279c944d353b60b1e820e415a60afae70ed98e873155aecd41c379",
         "a363573a5de0bda722bfb43180304f64aa99d4b1077d1e958472b012c8e962b7",
     ),
+    "bds-grid-povm": (
+        SweepConfig(family="bds", mode="grid", grid_steps=4, n_repeaters=[1, 2], eta_spec=[0.0, 0.7, 1.0],
+                    engine="oracle", swap_mode="povm"),
+        270,
+        "d69186f607e0ce4c5468126049b5549f0f840d2bab9567783f43b6fb8fc95bd2",
+        "f4eecd8d5e71a821b217c325f39e50512afdb6a9371c6c24840df37f9effcfa1",
+    ),
 }
 
 
@@ -266,9 +273,11 @@ def test_oracle_sweeps_keep_their_bytes(tmp_path, name):
     assert digests == (csv_digest, summary_digest)
 
 
-# sha256 of the CSV and summary of three closed-form random sweeps, with their record counts: a
-# Bell-diagonal sweep of all links whose cells include eta 0 and 1, a Werner sweep of per-node
-# eta lists, one holding 0 and 1, and a Bell-diagonal sweep of two chunks per n in three cells
+# sha256 of the CSV and summary of closed-form sweeps, with their record counts.  Three random
+# sweeps: a Bell-diagonal sweep of all links whose cells include eta 0 and 1, a Werner sweep of
+# per-node eta lists, one holding 0 and 1, and a Bell-diagonal sweep of two chunks per n in three
+# cells.  Three grids: a Werner grid whose n = 3 level (1296 records a cell) spans two chunks, the
+# same grid without its separable visibilities (2/6 = 1/3 is dropped), and a Bell-diagonal grid.
 _GOLDEN_CLOSEDFORM_SWEEPS = {
     "bds-eta-0-and-1": (
         SweepConfig(family="bds", sample_count=40, n_repeaters=[1, 3], eta_spec=[0.0, 0.6, 1.0], seed=43,
@@ -289,6 +298,25 @@ _GOLDEN_CLOSEDFORM_SWEEPS = {
         6162,
         "ee2ff7b49039401de80f273f222beba2056f69ef77a2ccfe79bcc901f911b295",
         "1a7f5c2fd549d1fcc2400ae5a37220e700f5cdd6487c3f0df85bcfae337c968b",
+    ),
+    "werner-grid-two-chunks": (
+        SweepConfig(family="werner", mode="grid", grid_steps=6, n_repeaters=[1, 3], eta_spec=[0.0, 0.8, 1.0]),
+        4644,
+        "84e805a0ea2239d0d47139d8fc88e0117797fad480bb7d1d3014918ed8f24333",
+        "d33f5327ac5de4340e4ed87fddf2b51b93aa2070530621d262929cb948d68b65",
+    ),
+    "werner-grid-entangled": (
+        SweepConfig(family="werner", mode="grid", grid_steps=6, n_repeaters=[1, 3], eta_spec=[0.0, 0.8, 1.0],
+                    entangled_inputs_only=True),
+        1008,
+        "a28bbc75f4f690fbfc0212b68e751fa7f0a2d9a45f3afa7a5cb4d2d9aad2d088",
+        "f4b038a07e5841626e05202bfba167552deb63069769c8056c7142201cbd4900",
+    ),
+    "bds-grid": (
+        SweepConfig(family="bds", mode="grid", grid_steps=4, n_repeaters=[1, 3]),
+        135,
+        "6807162d20351e354718b52c435fc7b4659cc6e2d1f5e82426923527f559d154",
+        "999c314e51ebfac087ae765dda9a0661b4fcab1ef7515226e3d2c0b381306439",
     ),
 }
 
