@@ -37,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidParametersError
 from .measures import FLAG_MARGIN, _werner_concurrence, concurrence_bds
 from .states import BdsParams, _unchecked, check_visibility
 from .swap import NoiseModel, _as_noise
@@ -53,6 +53,32 @@ def _check_stack_shapes(columns) -> None:
         raise DomainError(f"the link columns of a stack must share one shape, got {shapes}")
 
 
+def _as_visibility(p) -> float | np.ndarray:
+    """A link's visibility as a float, or a float copy of an array of them.
+
+    Anything else raises InvalidParametersError.
+    """
+    try:
+        return np.array(p, dtype=float) if isinstance(p, np.ndarray) else float(p)
+    except (TypeError, ValueError):
+        raise InvalidParametersError(f"a visibility is a number or an array of them, got {p!r}") from None
+
+
+def _as_triple(t) -> BdsParams:
+    """A BdsParams as is; anything else unpacked as three numbers, or the three arrays of a stack.
+
+    Anything that does not unpack into three raises InvalidParametersError,
+    as BdsParams does for values that are not numbers.
+    """
+    if isinstance(t, BdsParams):
+        return t
+    try:
+        t1, t2, t3 = t
+    except (TypeError, ValueError):
+        raise InvalidParametersError(f"a correlation triple is three numbers or three arrays, got {t!r}") from None
+    return BdsParams(t1, t2, t3)
+
+
 @dataclass(frozen=True)
 class WernerChainQuery:
     """n+1 link visibilities plus n per-node success probabilities.
@@ -65,7 +91,7 @@ class WernerChainQuery:
     etas: NoiseModel
 
     def __post_init__(self):
-        ps = tuple(np.array(p, dtype=float) if isinstance(p, np.ndarray) else float(p) for p in self.ps)
+        ps = tuple(map(_as_visibility, self.ps))
         object.__setattr__(self, "ps", ps)
         object.__setattr__(self, "etas", _as_noise(self.etas))
         self.etas.check_links(len(ps))
@@ -93,11 +119,7 @@ class BdsChainQuery:
     etas: NoiseModel
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "ts",
-            tuple(t if isinstance(t, BdsParams) else BdsParams(*t) for t in self.ts),
-        )
+        object.__setattr__(self, "ts", tuple(map(_as_triple, self.ts)))
         object.__setattr__(self, "etas", _as_noise(self.etas))
         self.etas.check_links(len(self.ts))
         _check_stack_shapes([t.t1 for t in self.ts])

@@ -125,8 +125,11 @@ def teleportation_fidelity(state) -> float | np.ndarray:
     return f if f.ndim else float(f)
 
 
-def octahedron_separable(params: BdsParams | tuple) -> bool:
-    """True iff |t1| + |t2| + |t3| <= 1 (the boundary counts as separable)."""
+def octahedron_separable(params: BdsParams | tuple) -> bool | np.ndarray:
+    """True iff |t1| + |t2| + |t3| <= 1 (the boundary counts as separable).
+
+    A BdsParams stack gives a boolean array of each member's value.
+    """
     params = _as_bds_params(params)
     return abs(params.t1) + abs(params.t2) + abs(params.t3) <= 1.0
 

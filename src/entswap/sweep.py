@@ -12,7 +12,12 @@ links) for the Bell-diagonal family.
 
 The links of each (sample, n) are drawn or enumerated once, a chunk of
 samples at a time, and every eta cell of that n reads the chunk through
-_evaluate_chains.  The closed forms take CHUNK_SIZE samples as one
+_evaluate_chains.  Both link sources hand run_sweep whole chunks: their
+indices, link tuples, input concurrences and stack.  A random chunk's stack
+is gathered from its drawn links.  A grid chunk's is gathered from its
+axis: each axis value's parameters, or on the oracle its validated dense
+matrix, are built once, and a Werner record's k-th link is digit k of its
+index in base len(axis).  The closed forms take CHUNK_SIZE samples as one
 (n+1, N) parameter stack, checked once, whose link products serve every
 cell: each cell's node scale is a row of one (cells, N) final, and each
 closed form is called once per cell on a query that reads its row.  On the
@@ -59,6 +64,7 @@ from .states import (
     WernerParams,
     _checked_density_matrix,
     _raise_first_failure,
+    _unchecked,
     bell_weights,
     check_visibility,
     make_bell_diagonal,
@@ -205,7 +211,10 @@ def sample_state(
     map is exact (0.0 + u is u and 2.0 * u is exact), so the stream and
     every draw are those of ``uniform(0.0, 1.0)`` and
     ``uniform(-1.0, 1.0, 3)`` bit for bit.  A try is filtered on its raw
-    floats; only the accepted link is built as validated parameters.
+    floats, and the accepted link is built without a check of its own: a
+    visibility from ``random()`` lies in [0, 1), and a triple that passed
+    the tetrahedron test is finite with every weight >= 0 exactly, stricter
+    than BdsParams' -PSD_TOL.  A sweep checks each chunk's stack once.
 
     With ``dense=False`` a werner or bds link comes back as (params, None):
     its dense state is not built.  A general link is drawn as its dense
@@ -216,7 +225,7 @@ def sample_state(
         for _ in range(_MAX_REJECTIONS):
             p = rng.random()
             if not entangled_inputs_only or p > 1.0 / 3.0:
-                params = WernerParams(p)
+                params = _unchecked(WernerParams, p=p)
                 return params, make_werner(params) if dense else None
     elif family == "bds":
         for _ in range(_MAX_REJECTIONS):
@@ -228,7 +237,7 @@ def sample_state(
             # concurrence_bds is max(0, 2 max(weights) - 1): a separable triple has no positive part
             if entangled_inputs_only and 2.0 * max(bell_weights(t1, t2, t3)) - 1.0 <= 0.0:
                 continue
-            params = BdsParams(t1, t2, t3)
+            params = _unchecked(BdsParams, t1=t1, t2=t2, t3=t3)
             return params, make_bell_diagonal(params) if dense else None
     elif family == "general":
         for _ in range(_MAX_REJECTIONS):
@@ -413,10 +422,21 @@ def _parameter_stack(family: str, params):
     shape = (len(params[0]), len(params))
     links = [link for column in zip(*params) for link in column]
     if family == "werner":
-        stack = np.array([p.p for p in links]).reshape(shape)
-        check_visibility(stack)
-        return stack
-    return BdsParams(*np.array([[t.t1 for t in links], [t.t2 for t in links], [t.t3 for t in links]]).reshape(3, *shape))
+        return _checked_stack(family, np.array([p.p for p in links]).reshape(shape))
+    columns = [[t.t1 for t in links], [t.t2 for t in links], [t.t3 for t in links]]
+    return _checked_stack(family, np.array(columns).reshape(3, *shape))
+
+
+def _checked_stack(family: str, values):
+    """A closed-form link stack from its values, checked once.
+
+    ``values`` is an (n+1, N) visibility array, which is checked and
+    returned, or the (3, n+1, N) correlations of a BdsParams stack.
+    """
+    if family == "werner":
+        check_visibility(values)
+        return values
+    return BdsParams(*values)
 
 
 def input_concurrences(family: str, link_params) -> tuple[float, ...]:
@@ -442,29 +462,41 @@ def _stacked_input_concurrences(family: str, engine: str, params, links) -> list
     return [tuple(chain) for chain in c_in.T.tolist()]
 
 
-def _random_links(config: SweepConfig, n: int):
-    """Yield (link_params, links, None) for each sample, drawn from its own stream.
+def _random_links(config: SweepConfig, n: int, chunk_size: int):
+    """Yield each chunk of samples as (indices, link_params, c_in, links).
 
     One generator serves the call.  It is restarted for each sample, whose
     links then read the stream of link_generator(seed, index), in order.
-    Werner and BDS samples are drawn as parameters only: their links are None.
-    No sample carries its c_in: run_sweep reads a chunk's off its stack.
+    Werner and BDS samples are drawn as parameters only.  A chunk's links
+    are its :func:`_link_stack`, and its c_in is read off that stack.
     """
     rng = link_generator(config.seed, 0)
-    for index in range(config.sample_count):
-        _restart(rng, config.seed, index)
-        params, states = zip(*(
-            sample_state(config.family, rng, config.entangled_inputs_only, dense=False)
-            for _ in range(n + 1)
-        ))
-        yield params, states, None
+    for start in range(0, config.sample_count, chunk_size):
+        indices = range(start, min(start + chunk_size, config.sample_count))
+        params, states = [], []
+        for index in indices:
+            _restart(rng, config.seed, index)
+            drawn, dense = zip(*(
+                sample_state(config.family, rng, config.entangled_inputs_only, dense=False)
+                for _ in range(n + 1)
+            ))
+            params.append(drawn)
+            states.append(dense)
+        links = _link_stack(config.family, config.engine, params, states)
+        yield indices, params, _stacked_input_concurrences(config.family, config.engine, params, links), links
 
 
-def _grid_links(config: SweepConfig, n: int):
-    """Yield (link_params, None, c_in) for each grid point of chain length n.
+def _grid_links(config: SweepConfig, n: int, chunk_size: int):
+    """Yield each chunk of grid points of chain length n as (indices, link_params, c_in, links).
 
-    Each axis value's link object and concurrence are built once per call;
-    every record that uses the value shares them.
+    Each axis value's link object, concurrence and stack entry are built
+    once per call, and every record that uses the value shares them.  The
+    entry is the value's parameters, or on the oracle its validated dense
+    matrix.  A chunk's stack is gathered from the entries by each record's
+    link indices: Werner records are the Cartesian product of the axis in
+    lexicographic order, so the k-th link of record r is digit k of r in
+    base len(axis), while a Bell-diagonal record's links are all its one
+    grid point.  A closed-form stack is checked once per chunk.
     """
     steps = config.grid_steps
     if config.family == "werner":
@@ -473,10 +505,11 @@ def _grid_links(config: SweepConfig, n: int):
             axis = [p for p in axis if p > 1.0 / 3.0]
         links = [WernerParams(p) for p in axis]
         c_axis = [concurrence_werner(p) for p in axis]
-        for combo, c_in in zip(product(links, repeat=n + 1), product(c_axis, repeat=n + 1)):
-            yield combo, None, c_in
+        link_tuples, c_tuples = product(links, repeat=n + 1), product(c_axis, repeat=n + 1)
+        count = len(axis) ** (n + 1)
     else:
         axis = [-1.0 + 2.0 * i / steps for i in range(steps + 1)]
+        links, c_axis = [], []
         for t1, t2, t3 in product(axis, repeat=3):
             if not _inside_tetrahedron(t1, t2, t3):
                 continue
@@ -484,7 +517,39 @@ def _grid_links(config: SweepConfig, n: int):
             c = concurrence_bds(params)
             if config.entangled_inputs_only and c <= 0.0:
                 continue
-            yield (params,) * (n + 1), None, (c,) * (n + 1)
+            links.append(params)
+            c_axis.append(c)
+        link_tuples = ((params,) * (n + 1) for params in links)
+        c_tuples = ((c,) * (n + 1) for c in c_axis)
+        count = len(links)
+    if config.engine == "oracle":
+        maker = make_werner if config.family == "werner" else make_bell_diagonal
+        table = np.array([maker(params).matrix for params in links])
+    elif config.family == "werner":
+        table = np.array(axis)
+    else:
+        # the (3, points) correlations, each a row indexed by point
+        table = np.array([params.as_tuple() for params in links]).T
+    for start in range(0, count, chunk_size):
+        indices = range(start, min(start + chunk_size, count))
+        if config.family == "werner":
+            rows = _digits(indices, len(axis), n + 1)
+        else:
+            rows = np.broadcast_to(np.arange(indices.start, indices.stop), (n + 1, len(indices)))
+        if config.engine == "oracle":
+            stack = table[rows]
+        else:
+            stack = _checked_stack(config.family, table[..., rows])
+        yield indices, list(islice(link_tuples, len(indices))), list(islice(c_tuples, len(indices))), stack
+
+
+def _digits(indices: range, base: int, places: int) -> np.ndarray:
+    """The (places, N) base-``base`` digits of N consecutive indices, row 0 the most significant."""
+    digits = np.empty((places, len(indices)), dtype=np.intp)
+    rest = np.arange(indices.start, indices.stop)
+    for place in reversed(range(places)):
+        rest, digits[place] = np.divmod(rest, base)
+    return digits
 
 
 def _check_thread_setting() -> None:
@@ -522,13 +587,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
         noises = [NoiseModel(etas) for etas, _, _ in n_cells]
         # an oracle chunk is one stack for all its cells: at most CHUNK_SIZE chains, whatever the cells
         chunk_size = max(1, CHUNK_SIZE // len(n_cells)) if config.engine == "oracle" else CHUNK_SIZE
-        samples = enumerate(link_source(config, n))
-        while chunk := list(islice(samples, chunk_size)):
-            indices, sampled = zip(*chunk)
-            params, states, c_in = zip(*sampled)
-            links = _link_stack(config.family, config.engine, params, states)
-            if config.mode == "random":
-                c_in = _stacked_input_concurrences(config.family, config.engine, params, links)
+        for indices, params, c_in, links in link_source(config, n, chunk_size):
             c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noises, links)
             entangled, useful = flags(c_out, f_out)
             rows = zip(n_cells, c_out, f_out, entangled, useful)

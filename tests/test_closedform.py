@@ -374,6 +374,38 @@ def test_stacked_queries_reject_columns_of_different_lengths():
         BdsParams(short, short, long)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: BdsChainQuery(((1.0, 2.0),) * 2, (0.9,)),
+    lambda: BdsChainQuery(((0.1, 0.2, 0.3, 0.4),) * 2, (0.9,)),
+    lambda: BdsChainQuery((0.5, 0.5), (0.9,)),
+    lambda: BdsChainQuery((("a", 0.0, 0.0),) * 2, (0.9,)),
+], ids=["two-numbers", "four-numbers", "not-a-triple", "not-numbers"])
+def test_bds_query_refuses_malformed_links(build):
+    assert _raised(build) is InvalidParametersError
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WernerChainQuery(("x", 0.9), (0.9,)),
+    lambda: WernerChainQuery((None, 0.9), (0.9,)),
+    lambda: WernerChainQuery((np.array(["x", "y"]), np.array([0.5, 0.9])), (0.9,)),
+], ids=["string", "none", "string-array"])
+def test_werner_query_refuses_malformed_links(build):
+    assert _raised(build) is InvalidParametersError
+
+
+def test_queries_take_tuples_of_arrays_as_stacks():
+    # a stack's links may come as plain tuples of arrays; each member is its own single chain
+    t1, t2, t3 = np.array([0.5, 0.2]), np.array([-0.3, 0.1]), np.array([0.2, -0.4])
+    stacked = BdsChainQuery(((t1, t2, t3),) * 2, (0.9,))
+    assert isinstance(stacked.ts[0], BdsParams)
+    for j in range(2):
+        single = bq([(t1[j], t2[j], t3[j])] * 2, (0.9,))
+        assert [t[j] for t in stacked.final.as_tuple()] == list(single.final.as_tuple())
+    ps = np.array([0.5, 0.9])
+    stacked = WernerChainQuery((ps, ps), (0.9,))
+    assert stacked.final.tolist() == [wq((p, p), (0.9,)).final for p in ps.tolist()]
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 def test_max_entangled_swaps_just_above_the_visibility_threshold(eta):
     # one ulp above 1/3 the first swap already loses the entanglement, whatever eta

@@ -69,6 +69,18 @@ def test_octahedron_examples():
     assert octahedron_separable((0, 0, 0)) is True
 
 
+def test_octahedron_of_a_stack_is_each_members_own_value():
+    rng = np.random.default_rng(23)
+    triples = [random_tetrahedron_point(rng) for _ in range(200)]
+    # the boundary |t|_1 = 1 and a vertex, which the random points almost surely miss
+    triples += [(1 / 3, 1 / 3, 1 / 3), (0.5, -0.5, 0.0), (1.0, -1.0, 1.0), (0.0, 0.0, 0.0)]
+    stack = BdsParams(*np.array(triples, dtype=float).T)
+    separable = octahedron_separable(stack)
+    assert isinstance(separable, np.ndarray) and separable.dtype == bool
+    assert separable.tolist() == [octahedron_separable(t) for t in triples]
+    assert separable.any() and not separable.all()
+
+
 def test_octahedron_matches_zero_concurrence():
     rng = np.random.default_rng(22)
     for _ in range(1000):

@@ -1571,6 +1571,108 @@ def test_werner_chunks_check_their_link_stack_once(monkeypatch):
     assert calls[0] == 4
 
 
+@pytest.mark.parametrize("family", ["werner", "bds"])
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_random_sweeps_check_no_drawn_link_alone(monkeypatch, family, engine):
+    # a drawn link is in range by construction; only each chunk's stack is checked
+    scalar_checks, stack_checks = [0], [0]
+    for cls in (WernerParams, BdsParams):
+        post_init = cls.__post_init__
+
+        def counting(self, post_init=post_init):
+            stacked = isinstance(getattr(self, "p", getattr(self, "t1", None)), np.ndarray)
+            (stack_checks if stacked else scalar_checks)[0] += 1
+            return post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    records, _ = run_sweep(SweepConfig(family=family, sample_count=30, n_repeaters=[1, 3], eta_spec=[0.8, 1.0],
+                                       seed=17, entangled_inputs_only=family == "bds", engine=engine))
+    assert len(records) == 2 * 3 * 30
+    assert scalar_checks[0] == 0
+    assert stack_checks[0] > 0 or family == "werner"
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+@pytest.mark.parametrize("entangled_inputs_only", [False, True])
+def test_unchecked_draws_equal_the_reference_draws(family, entangled_inputs_only):
+    # parameters compare equal to the checked ones of the uniform loop, and build the same dense link
+    for seed, index in _STREAM_KEYS[::10]:
+        rng, reference_rng = link_generator(seed, index), link_generator(seed, index)
+        for _ in range(20):
+            params, state = sample_state(family, rng, entangled_inputs_only)
+            expected, expected_state = reference_sample_state(family, reference_rng, entangled_inputs_only)
+            assert params == expected and hash(params) == hash(expected)
+            assert np.array_equal(state.matrix, expected_state.matrix)
+
+
+_GRID_CONFIGS = [
+    dict(family=family, mode="grid", grid_steps=steps, n_repeaters=ns, entangled_inputs_only=entangled,
+         engine=engine)
+    for family, steps, ns in [("werner", 1, [1, 2]), ("werner", 6, [1, 3]), ("werner", 7, [1, 2]),
+                              ("bds", 2, [1, 2]), ("bds", 6, [1, 2])]
+    for entangled in (False, True)
+    for engine in ("closedform", "oracle")
+]
+
+
+@pytest.mark.parametrize("config", _GRID_CONFIGS, ids=lambda c: "-".join(str(v) for v in c.values()))
+def test_grid_chunk_stacks_are_their_records_links(config):
+    # a stack gathered from the axis is the stack the chunk's own link tuples build, also
+    # for chunks that end inside a level or hold the last records of one
+    config = SweepConfig(**config)
+    lo, hi = config.n_repeaters
+    for n in range(lo, hi + 1):
+        for chunk_size in (7, 64):
+            seen = 0
+            for indices, params, c_in, links in sweep_module._grid_links(config, n, chunk_size):
+                assert indices == range(seen, seen + len(params)) and 0 < len(params) <= chunk_size
+                assert all(len(chain) == n + 1 for chain in params)
+                expected = _link_stack(config.family, config.engine, params, None)
+                if config.family == "bds" and config.engine == "closedform":
+                    assert all(np.array_equal(a, b) for a, b in zip(links.as_tuple(), expected.as_tuple()))
+                else:
+                    assert links.shape == expected.shape and np.array_equal(links, expected)
+                assert c_in == [sweep_module.input_concurrences(config.family, chain) for chain in params]
+                seen += len(params)
+            axis = config.grid_steps - (config.grid_steps // 3 if config.entangled_inputs_only else 0)
+            if config.family == "werner":
+                assert seen == axis ** (n + 1)
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_grid_sweeps_do_not_depend_on_chunk_size(monkeypatch, tmp_path, family, engine):
+    # 16 chains a stack splits every level of these grids inside it
+    config = SweepConfig(family=family, mode="grid", grid_steps=5 if family == "werner" else 4,
+                         n_repeaters=[1, 3], eta_spec=[0.0, 0.85, 1.0], engine=engine)
+    texts = []
+    for chunk_size in (sweep_module.CHUNK_SIZE, 16):
+        monkeypatch.setattr(sweep_module, "CHUNK_SIZE", chunk_size)
+        records, summary = run_sweep(config)
+        write_csv(records, tmp_path / "sweep.csv")
+        texts.append(((tmp_path / "sweep.csv").read_text(encoding="utf-8"), summary))
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("family, links_per_n, count", [("werner", 5, 2 * (5**2 + 5**3)), ("bds", 45, 2 * 2 * 45)])
+def test_oracle_grids_build_each_axis_link_once(monkeypatch, family, links_per_n, count):
+    # one dense link per axis value (a Bell-diagonal grid point) and chain length, whatever the records
+    name = {"werner": "make_werner", "bds": "make_bell_diagonal"}[family]
+    calls = [0]
+    make = getattr(sweep_module, name)
+
+    def counting_make(*args, **kwargs):
+        calls[0] += 1
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, name, counting_make)
+    steps = 5 if family == "werner" else 4
+    records, _ = run_sweep(SweepConfig(family=family, mode="grid", grid_steps=steps, n_repeaters=[1, 2],
+                                       eta_spec=[0.8, 1.0], engine="oracle"))
+    assert len(records) == count
+    assert calls[0] == 2 * links_per_n
+
+
 @pytest.mark.parametrize("engine", ["closedform", "oracle"])
 def test_random_werner_chunks_check_their_visibility_stack_once(monkeypatch, engine):
     # a chunk's c_in reads the stack _parameter_stack checked, on both engines;
