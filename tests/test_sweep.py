@@ -273,10 +273,11 @@ def test_oracle_sweeps_keep_their_bytes(tmp_path, name):
     assert digests == (csv_digest, summary_digest)
 
 
-# sha256 of the CSV and summary of closed-form sweeps, with their record counts.  Three random
+# sha256 of the CSV and summary of closed-form sweeps, with their record counts.  Five random
 # sweeps: a Bell-diagonal sweep of all links whose cells include eta 0 and 1, a Werner sweep of
-# per-node eta lists, one holding 0 and 1, and a Bell-diagonal sweep of two chunks per n in three
-# cells.  Three grids: a Werner grid whose n = 3 level (1296 records a cell) spans two chunks, the
+# per-node eta lists, one holding 0 and 1, a Bell-diagonal sweep of two chunks per n in three
+# cells, a Werner sweep of entangled links only, and a Bell-diagonal sweep of entangled links
+# only up to n = 6, where one sample reads about 130 doubles of its stream.  Three grids: a Werner grid whose n = 3 level (1296 records a cell) spans two chunks, the
 # same grid without its separable visibilities (2/6 = 1/3 is dropped), and a Bell-diagonal grid.
 _GOLDEN_CLOSEDFORM_SWEEPS = {
     "bds-eta-0-and-1": (
@@ -298,6 +299,20 @@ _GOLDEN_CLOSEDFORM_SWEEPS = {
         6162,
         "ee2ff7b49039401de80f273f222beba2056f69ef77a2ccfe79bcc901f911b295",
         "1a7f5c2fd549d1fcc2400ae5a37220e700f5cdd6487c3f0df85bcfae337c968b",
+    ),
+    "werner-entangled": (
+        SweepConfig(family="werner", sample_count=60, n_repeaters=[1, 3], eta_spec=[0.8, 1.0], seed=59,
+                    entangled_inputs_only=True),
+        360,
+        "3c38fc0d1e1120c6e6182702fbacaff19c6bd2b9d4e30eeec93780ac46fc2187",
+        "e90d6c4010dab6bb7a76788e822e9419487f0d30a918a010f28f7524fa99c044",
+    ),
+    "bds-entangled-long-chains": (
+        SweepConfig(family="bds", sample_count=40, n_repeaters=[1, 6], eta_spec=[0.9, 1.0], seed=61,
+                    entangled_inputs_only=True),
+        480,
+        "5f1c9e98b06a699203cc3594ce21809aed14e505f2866669e5ac4f7dde405428",
+        "1c0df1d4c59f551649ec9dbaffde74ae836f2bbf054e6659bf499bd1d01a4e57",
     ),
     "werner-grid-two-chunks": (
         SweepConfig(family="werner", mode="grid", grid_steps=6, n_repeaters=[1, 3], eta_spec=[0.0, 0.8, 1.0]),
