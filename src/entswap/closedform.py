@@ -79,6 +79,15 @@ def _as_triple(t) -> BdsParams:
     return BdsParams(t1, t2, t3)
 
 
+def _as_links(links, convert) -> tuple:
+    """Each of a chain's links through ``convert``; links that are not a sequence raise InvalidParametersError."""
+    try:
+        links = tuple(links)
+    except TypeError:
+        raise InvalidParametersError(f"a chain's links are a sequence, got {links!r}") from None
+    return tuple(map(convert, links))
+
+
 @dataclass(frozen=True)
 class WernerChainQuery:
     """n+1 link visibilities plus n per-node success probabilities.
@@ -91,7 +100,7 @@ class WernerChainQuery:
     etas: NoiseModel
 
     def __post_init__(self):
-        ps = tuple(map(_as_visibility, self.ps))
+        ps = _as_links(self.ps, _as_visibility)
         object.__setattr__(self, "ps", ps)
         object.__setattr__(self, "etas", _as_noise(self.etas))
         self.etas.check_links(len(ps))
@@ -119,7 +128,7 @@ class BdsChainQuery:
     etas: NoiseModel
 
     def __post_init__(self):
-        object.__setattr__(self, "ts", tuple(map(_as_triple, self.ts)))
+        object.__setattr__(self, "ts", _as_links(self.ts, _as_triple))
         object.__setattr__(self, "etas", _as_noise(self.etas))
         self.etas.check_links(len(self.ts))
         _check_stack_shapes([t.t1 for t in self.ts])

@@ -201,8 +201,12 @@ def check_visibility(p: float | np.ndarray) -> None:
     what it raises alone.
     """
     if isinstance(p, np.ndarray):
-        # "not within [0, 1]" rather than "beyond it", so NaN fails too
-        outside = ~((0.0 <= p) & (p <= 1.0))
+        try:
+            # "not within [0, 1]" rather than "beyond it", so NaN fails too; numpy orders complex
+            # values, which Python does not, so every member of a complex array fails as it fails alone
+            outside = ~((0.0 <= p) & (p <= 1.0)) | np.iscomplexobj(p)
+        except TypeError:  # strings, or objects that do not compare with a float: each member raises alone
+            outside = np.ones(p.shape, dtype=bool)
         if outside.any():
             _raise_first_failure(check_visibility, p[outside].tolist())
     elif not _in_unit_interval(p):
@@ -244,7 +248,10 @@ class BdsParams:
             )
 
     def _check_stack(self) -> None:
-        t1, t2, t3 = columns = [np.array(t, dtype=float) for t in self.as_tuple()]
+        try:
+            t1, t2, t3 = columns = [np.array(t, dtype=float) for t in self.as_tuple()]
+        except (TypeError, ValueError):  # strings, or objects that float() refuses
+            raise InvalidParametersError(f"correlations {self.as_tuple()} must be finite numbers") from None
         if not all(isinstance(t, np.ndarray) for t in self.as_tuple()) or not t1.shape == t2.shape == t3.shape:
             raise InvalidParametersError("a stack of correlation triples needs three arrays of one shape")
         for column, name in zip(columns, ("t1", "t2", "t3")):

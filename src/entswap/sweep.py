@@ -5,10 +5,14 @@ a counter-based generator keyed by (seed, sample index), so sample k sees
 the same link states in every cell and results do not depend on evaluation
 order.  One generator serves each (sweep, n): it is restarted for each
 sample, which then reads exactly the stream of link_generator(seed, index)
-without building a new generator.  Grid mode enumerates deterministic
-parameter grids: the Cartesian product of per-link visibility grids for the
-Werner family, and one shared correlation triple per grid point (identical
-links) for the Bell-diagonal family.
+without building a new generator.  Nothing but the sample's links reads the
+stream before the next restart, so a Werner or BDS sample's uniforms are
+drawn a block at a time and handed out in stream order (_SampleUniforms):
+each try gets the doubles its own random() or random(3) call would, and so
+each draw is the same.  Grid mode enumerates deterministic parameter grids:
+the Cartesian product of per-link visibility grids for the Werner family,
+and one shared correlation triple per grid point (identical links) for the
+Bell-diagonal family.
 
 The links of each (sample, n) are drawn or enumerated once, a chunk of
 samples at a time, and every eta cell of that n reads the chunk through
@@ -36,7 +40,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from itertools import groupby, islice, product
+from itertools import chain, groupby, islice, product, repeat
 
 import numpy as np
 
@@ -88,6 +92,13 @@ ETA_GRID_DEFAULT = tuple(round(0.1 * k, 1) for k in range(11))
 
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 _MAX_REJECTIONS = 1_000_000
+
+#: Doubles each read of a random Werner or Bell-diagonal sample's stream
+#: draws (see _SampleUniforms).  An entangled Bell-diagonal link takes about
+#: 18, so one block serves most samples of up to five such links.  Blocks
+#: of 48 to 128 drew a bds sweep of n 1-4 equally fast; larger ones draw
+#: tails that no try reads.
+_BLOCK = 96
 
 #: Chains in one stack: samples of a closed-form chunk, or cells x samples of
 #: an oracle stack.  It bounds the stacks' memory (about 8 MiB for a swap
@@ -195,6 +206,31 @@ def _inside_tetrahedron(t1: float, t2: float, t3: float) -> bool:
     )
 
 
+def _read_block(rng) -> list[float]:
+    return rng.random(_BLOCK).tolist()
+
+
+class _SampleUniforms(chain):
+    """The uniform doubles of one sample's stream, in stream order, read _BLOCK at a time.
+
+    A sweep restarts its generator for each sample, and only that sample's
+    links read the stream before the next restart.  ``rng.random(k)`` gives
+    the doubles of k ``rng.random()`` calls bit for bit, so the sample's
+    doubles can be drawn a block at a time and handed out in order: every
+    try gets the doubles it would get from its own ``random()`` or
+    ``random(3)`` call, and a try whose three doubles cross a block edge
+    takes them from both blocks.  The unread tail of the sample's last
+    block is dropped at the next restart.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, rng) -> _SampleUniforms:
+        """The stream of ``rng`` from where it stands; nothing is read until a try needs it."""
+        return cls.from_iterable(map(_read_block, repeat(rng)))
+
+
 def sample_state(
     family: str, rng: np.random.Generator, entangled_inputs_only: bool = False, *, dense: bool = True
 ):
@@ -206,15 +242,19 @@ def sample_state(
     rejection of separable triples).  general: rho = G G+ / Tr(G G+) with
     G a 4x4 matrix of standard complex Gaussians.
 
-    Each werner or bds try is one ``rng.random`` call, mapped as
-    ``Generator.uniform(low, high)`` maps it: low + (high - low) * u.  The
-    map is exact (0.0 + u is u and 2.0 * u is exact), so the stream and
-    every draw are those of ``uniform(0.0, 1.0)`` and
-    ``uniform(-1.0, 1.0, 3)`` bit for bit.  A try is filtered on its raw
-    floats, and the accepted link is built without a check of its own: a
-    visibility from ``random()`` lies in [0, 1), and a triple that passed
-    the tetrahedron test is finite with every weight >= 0 exactly, stricter
-    than BdsParams' -PSD_TOL.  A sweep checks each chunk's stack once.
+    A werner or bds try reads one uniform double of ``rng``'s stream, or
+    three, mapped as ``Generator.uniform(low, high)`` maps them:
+    low + (high - low) * u.  The map is exact (0.0 + u is u and 2.0 * u is
+    exact), so every draw is that of ``uniform(0.0, 1.0)`` or
+    ``uniform(-1.0, 1.0, 3)`` bit for bit.  A Generator is read by one
+    ``random()`` or ``random(3)`` call per try.  A random sweep passes its
+    sample's _SampleUniforms instead, which hands out the same doubles of
+    the same stream a block at a time, so each try, and each draw, is the
+    same.  A try is filtered on its raw floats, and the accepted link is
+    built without a check of its own: a visibility from ``random()`` lies
+    in [0, 1), and a triple that passed the tetrahedron test is finite with
+    every weight >= 0 exactly, stricter than BdsParams' -PSD_TOL.  A sweep
+    checks each chunk's stack once.
 
     With ``dense=False`` a werner or bds link comes back as (params, None):
     its dense state is not built.  A general link is drawn as its dense
@@ -222,15 +262,18 @@ def sample_state(
     way in both cases.
     """
     if family == "werner":
-        for _ in range(_MAX_REJECTIONS):
-            p = rng.random()
+        tries = rng if isinstance(rng, _SampleUniforms) else iter(rng.random, None)
+        for p in islice(tries, _MAX_REJECTIONS):
             if not entangled_inputs_only or p > 1.0 / 3.0:
                 params = _unchecked(WernerParams, p=p)
                 return params, make_werner(params) if dense else None
     elif family == "bds":
-        for _ in range(_MAX_REJECTIONS):
+        if isinstance(rng, _SampleUniforms):
+            tries = zip(rng, rng, rng)
+        else:
             # Python floats give the same IEEE results as numpy scalars, with cheaper arithmetic
-            u1, u2, u3 = rng.random(3).tolist()
+            tries = iter(lambda: rng.random(3).tolist(), None)
+        for u1, u2, u3 in islice(tries, _MAX_REJECTIONS):
             t1, t2, t3 = -1.0 + 2.0 * u1, -1.0 + 2.0 * u2, -1.0 + 2.0 * u3
             if not _inside_tetrahedron(t1, t2, t3):
                 continue
@@ -466,18 +509,22 @@ def _random_links(config: SweepConfig, n: int, chunk_size: int):
     """Yield each chunk of samples as (indices, link_params, c_in, links).
 
     One generator serves the call.  It is restarted for each sample, whose
-    links then read the stream of link_generator(seed, index), in order.
-    Werner and BDS samples are drawn as parameters only.  A chunk's links
-    are its :func:`_link_stack`, and its c_in is read off that stack.
+    links then read the stream of link_generator(seed, index), in order:
+    a Werner or BDS sample's through its _SampleUniforms, a block at a
+    time, and a general sample's from the generator itself.  Werner and
+    BDS samples are drawn as parameters only.  A chunk's links are its
+    :func:`_link_stack`, and its c_in is read off that stack.
     """
     rng = link_generator(config.seed, 0)
+    blocks = config.family != "general"
     for start in range(0, config.sample_count, chunk_size):
         indices = range(start, min(start + chunk_size, config.sample_count))
         params, states = [], []
         for index in indices:
             _restart(rng, config.seed, index)
+            stream = _SampleUniforms.of(rng) if blocks else rng
             drawn, dense = zip(*(
-                sample_state(config.family, rng, config.entangled_inputs_only, dense=False)
+                sample_state(config.family, stream, config.entangled_inputs_only, dense=False)
                 for _ in range(n + 1)
             ))
             params.append(drawn)

@@ -393,6 +393,14 @@ def test_werner_query_refuses_malformed_links(build):
     assert _raised(build) is InvalidParametersError
 
 
+@pytest.mark.parametrize("build", [
+    lambda: WernerChainQuery(0.9, (0.9,)),
+    lambda: BdsChainQuery(None, (0.9,)),
+], ids=["werner-number", "bds-none"])
+def test_queries_refuse_links_that_are_not_a_sequence(build):
+    assert _raised(build) is InvalidParametersError
+
+
 def test_queries_take_tuples_of_arrays_as_stacks():
     # a stack's links may come as plain tuples of arrays; each member is its own single chain
     t1, t2, t3 = np.array([0.5, 0.2]), np.array([-0.3, 0.1]), np.array([0.2, -0.4])

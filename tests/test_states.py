@@ -24,6 +24,7 @@ from entswap import (
     tensor,
     validate,
 )
+from entswap.states import check_visibility
 from helpers import brute_min_eigenvalue, ginibre_matrix, random_tetrahedron_point
 
 EYE4 = np.eye(4) / 4
@@ -445,6 +446,23 @@ def test_family_parameters_of_the_wrong_length_or_kind_raise_invalid_parameters(
 def test_parameters_refuse_non_numbers(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_a_stack_of_strings_raises_invalid_parameters():
+    with pytest.raises(InvalidParametersError, match="must be finite numbers"):
+        BdsParams(np.array(["a"]), np.array(["b"]), np.array(["c"]))
+
+
+@pytest.mark.parametrize("p", [
+    np.array(["a"]),
+    np.array("a"),
+    np.array([0.5, None], dtype=object),
+    np.array([0.5 + 0.25j]),
+], ids=["strings", "zero-dim-string", "object-none", "complex"])
+def test_visibility_arrays_of_non_numbers_raise_domain_error(p):
+    # numpy refuses to compare these with a float; the first member that fails alone is reported
+    with pytest.raises(DomainError, match="visibility must lie in"):
+        check_visibility(p)
 
 
 def _signed_zeros(m, negative):

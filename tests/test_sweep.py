@@ -923,7 +923,7 @@ def test_engines_agree_on_flags_at_exact_thresholds(family, etas):
 
 
 def _exact_c_f(record):
-    """C and F of a grid record's Werner or BDS chain in rationals, from Fraction of each float input."""
+    """C and F of a record's Werner or BDS chain in rationals, from Fraction of each float input."""
     scale = Fraction(1)
     for eta in map(Fraction, record.etas):
         scale *= eta / (4 - 3 * eta)
@@ -962,6 +962,29 @@ def test_flags_equal_exact_flags_on_rational_grids(family, records_expected, nea
                 near += any(close)
             total += len(records)
     assert (total, near) == (records_expected, near_expected)
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+def test_flags_equal_exact_flags_on_random_sweeps(family):
+    # a drawn link is a float, so a rational too: C > 0 and F > 2/3 are decided exactly as on
+    # the grids, with the same allowance for an exact value at most FLAG_MARGIN above its threshold
+    margin = Fraction(FLAG_MARGIN)
+    two_thirds = Fraction(2, 3)
+    total = 0
+    for engine in ("closedform", "oracle"):
+        for entangled_inputs_only in (False, True):
+            records, _ = run_sweep(SweepConfig(
+                family=family, sample_count=300, n_repeaters=[1, 4], eta_spec=[0.8, 0.9, 1.0], seed=5,
+                entangled_inputs_only=entangled_inputs_only, engine=engine,
+            ))
+            for record in records:
+                c, f = _exact_c_f(record)
+                exact = (c > 0, f > two_thirds)
+                close = (0 < c <= margin, two_thirds < f <= two_thirds + margin)
+                expected = tuple(e and not n for e, n in zip(exact, close))
+                assert (record.entangled, record.useful) == expected, (engine, record)
+            total += len(records)
+    assert total == 4 * 3600
 
 
 @pytest.mark.parametrize("family", ["werner", "bds", "general"])
@@ -1091,6 +1114,30 @@ def test_random_sweep_across_a_chunk_reads_each_samples_own_stream(family, entan
         (r.index, r.n, [key(p) for p in r.link_params], r.etas, r.c_in, r.c_out, r.f_out, r.entangled, r.useful)
         for r in records
     ] == expected
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+@pytest.mark.parametrize("entangled_inputs_only", [False, True])
+def test_random_sweeps_do_not_depend_on_the_block_size(monkeypatch, family, entangled_inputs_only):
+    # a sample's stream is read a block at a time; blocks of 1 and 4 doubles put a block edge
+    # inside or beside every try, and each record must still equal the default block's
+    config = SweepConfig(family=family, sample_count=sweep_module.CHUNK_SIZE + 3, n_repeaters=[1, 3],
+                         eta_spec=[0.8, 1.0], seed=67, entangled_inputs_only=entangled_inputs_only)
+    expected = list(map(_record_fields, run_sweep(config)[0]))
+    for block in (1, 4):
+        monkeypatch.setattr(sweep_module, "_BLOCK", block)
+        assert list(map(_record_fields, run_sweep(config)[0])) == expected, block
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+@pytest.mark.parametrize("block", [1, 96])
+def test_block_read_sampler_exhaustion_is_a_config_error(monkeypatch, family, block):
+    # one try per link: among 200 links some first try is rejected, and the sweep must say so
+    monkeypatch.setattr(sweep_module, "_MAX_REJECTIONS", 1)
+    monkeypatch.setattr(sweep_module, "_BLOCK", block)
+    config = SweepConfig(family=family, sample_count=50, n_repeaters=3, seed=3, entangled_inputs_only=True)
+    with pytest.raises(ConfigError, match="did not converge"):
+        run_sweep(config)
 
 
 @pytest.mark.parametrize("family", ["general", "werner", "bds"])
