@@ -56,9 +56,12 @@ def _check_stack_shapes(columns) -> None:
 def _as_visibility(p) -> float | np.ndarray:
     """A link's visibility as a float, or a float copy of an array of them.
 
-    Anything else raises InvalidParametersError.
+    Anything else, a complex value included, raises InvalidParametersError.
     """
     try:
+        # numpy would cast complex values to their real parts, with a warning only
+        if np.iscomplexobj(p):
+            raise TypeError("a complex visibility")
         return np.array(p, dtype=float) if isinstance(p, np.ndarray) else float(p)
     except (TypeError, ValueError):
         raise InvalidParametersError(f"a visibility is a number or an array of them, got {p!r}") from None

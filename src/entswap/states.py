@@ -249,8 +249,11 @@ class BdsParams:
 
     def _check_stack(self) -> None:
         try:
+            # numpy would cast complex values to their real parts, with a warning only
+            if any(map(np.iscomplexobj, self.as_tuple())):
+                raise TypeError("complex correlations")
             t1, t2, t3 = columns = [np.array(t, dtype=float) for t in self.as_tuple()]
-        except (TypeError, ValueError):  # strings, or objects that float() refuses
+        except (TypeError, ValueError):  # strings, complex values, or objects that float() refuses
             raise InvalidParametersError(f"correlations {self.as_tuple()} must be finite numbers") from None
         if not all(isinstance(t, np.ndarray) for t in self.as_tuple()) or not t1.shape == t2.shape == t3.shape:
             raise InvalidParametersError("a stack of correlation triples needs three arrays of one shape")

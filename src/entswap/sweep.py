@@ -27,8 +27,11 @@ cell: each cell's node scale is a row of one (cells, N) final, and each
 closed form is called once per cell on a query that reads its row.  On the
 oracle all cells of an n are one stack of at most CHUNK_SIZE chains
 (cells x samples): a chunk holds CHUNK_SIZE // cells samples, and each
-node's eta is a column over the cells.  A random chunk's input
-concurrences are read off its stack in one call.  A single chain
+node's eta is a column over the cells.  A general chunk drawn without
+entangled_inputs_only is checked and Pauli-decomposed as one stack of
+drawn matrices (_SampleNormals), member by member, so each link gets the
+bits it gets checked alone.  A random chunk's input concurrences are read
+off its stack in one call.  A single chain
 (evaluate_chain) is the stack of one chain in one cell.  Each cell's
 records are built from its row of the stack's results.
 ENTSWAP_THREADS must be an integer if set, but it selects nothing.
@@ -64,6 +67,7 @@ from .measures import (
 )
 from .states import (
     BdsParams,
+    BlochForm,
     TwoQubitState,
     WernerParams,
     _checked_density_matrix,
@@ -231,6 +235,23 @@ class _SampleUniforms(chain):
         return cls.from_iterable(map(_read_block, repeat(rng)))
 
 
+class _SampleNormals:
+    """The normals of one general sample's stream, read where the wrapped generator stands.
+
+    It reads by the same ``normal`` calls as the generator itself, so every
+    try draws the same G.  Only the type differs: a general link drawn
+    from it without entangled_inputs_only comes back from sample_state as
+    its normalised matrix, not checked on its own, for a sweep that checks
+    and decomposes its chunk's links as one stack.  One serves a sweep's
+    n: the generator it wraps is restarted for each sample.
+    """
+
+    __slots__ = ("normal",)
+
+    def __init__(self, rng):
+        self.normal = rng.normal
+
+
 def sample_state(
     family: str, rng: np.random.Generator, entangled_inputs_only: bool = False, *, dense: bool = True
 ):
@@ -260,6 +281,16 @@ def sample_state(
     its dense state is not built.  A general link is drawn as its dense
     state, so it is returned either way.  The stream is consumed the same
     way in both cases.
+
+    A general try reads two ``normal((4, 4))`` calls.  A random sweep
+    hands each general sample a _SampleNormals, which reads the same
+    normals.  A link drawn from it without entangled_inputs_only comes
+    back as (None, matrix): the normalised matrix, neither checked nor
+    decomposed.  The sweep checks and decomposes its chunk's links as one
+    stack, member by member, so each link gets the bits its own
+    TwoQubitState and pauli_decompose would give it.  With
+    entangled_inputs_only every try is checked alone: its concurrence
+    decides whether another is drawn.
     """
     if family == "werner":
         tries = rng if isinstance(rng, _SampleUniforms) else iter(rng.random, None)
@@ -286,7 +317,10 @@ def sample_state(
         for _ in range(_MAX_REJECTIONS):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m = g @ g.conj().T
-            state = TwoQubitState(m / m.trace().real)
+            m = m / m.trace().real
+            if not entangled_inputs_only and isinstance(rng, _SampleNormals):
+                return None, m
+            state = TwoQubitState(m)
             if entangled_inputs_only and concurrence(state) <= 0.0:
                 continue
             return pauli_decompose(state), state
@@ -429,13 +463,22 @@ def _evaluate_chains(family: str, engine: str, swap_mode: str, cells, links):
     for noise in cells:
         _check_chain(noise, len(links))
     matrices = _chain_matrices(links, cells, swap_mode)
-    try:
-        final = _checked_density_matrix(matrices, (len(cells),) + links.shape[1:], "two-qubit state")
-    except InvalidStateError:
-        # a stack's defect and worst eigenvalue are taken over every cell
-        _raise_first_failure(lambda m: _checked_density_matrix(m, m.shape, "two-qubit state"), matrices)
-        raise
+    final = _checked_states(matrices, matrices)
     return concurrence(final), teleportation_fidelity(final), final
+
+
+def _checked_states(matrices, members):
+    """A stack of two-qubit density matrices, checked once.
+
+    ``members`` holds the stack's parts in the order a failure is reported
+    in: a stack's defect and worst eigenvalue are taken over all of it, so
+    a failing stack raises what its first failing part raises alone.
+    """
+    try:
+        return _checked_density_matrix(matrices, matrices.shape, "two-qubit state")
+    except InvalidStateError:
+        _raise_first_failure(lambda m: _checked_density_matrix(m, m.shape, "two-qubit state"), members)
+        raise
 
 
 def _link_stack(family: str, engine: str, params, states):
@@ -511,26 +554,60 @@ def _random_links(config: SweepConfig, n: int, chunk_size: int):
     One generator serves the call.  It is restarted for each sample, whose
     links then read the stream of link_generator(seed, index), in order:
     a Werner or BDS sample's through its _SampleUniforms, a block at a
-    time, and a general sample's from the generator itself.  Werner and
-    BDS samples are drawn as parameters only.  A chunk's links are its
-    :func:`_link_stack`, and its c_in is read off that stack.
+    time, and a general sample's through _SampleNormals, by the
+    generator's own normal calls.  Werner and BDS samples are drawn as
+    parameters only, and a chunk's links are its :func:`_link_stack`.  A
+    general chunk drawn without entangled_inputs_only is drawn as
+    unchecked matrices; its (n+1, N) stack is checked once
+    (:func:`_checked_general_links`) and decomposed by one pauli_decompose
+    call, and each link's parameters are its row of that stack.  With
+    entangled_inputs_only each general link is checked and decomposed
+    alone, as its try is drawn.  A chunk's c_in is read off its stack.
     """
     rng = link_generator(config.seed, 0)
-    blocks = config.family != "general"
+    general = config.family == "general"
+    stacked = general and not config.entangled_inputs_only
+    normals = _SampleNormals(rng)
     for start in range(0, config.sample_count, chunk_size):
         indices = range(start, min(start + chunk_size, config.sample_count))
         params, states = [], []
         for index in indices:
             _restart(rng, config.seed, index)
-            stream = _SampleUniforms.of(rng) if blocks else rng
+            stream = normals if general else _SampleUniforms.of(rng)
             drawn, dense = zip(*(
                 sample_state(config.family, stream, config.entangled_inputs_only, dense=False)
                 for _ in range(n + 1)
             ))
             params.append(drawn)
             states.append(dense)
-        links = _link_stack(config.family, config.engine, params, states)
+        if stacked:
+            links = _checked_general_links(np.array(list(zip(*states))))
+            params = _bloch_rows(pauli_decompose(links))
+        else:
+            links = _link_stack(config.family, config.engine, params, states)
         yield indices, params, _stacked_input_concurrences(config.family, config.engine, params, links), links
+
+
+def _checked_general_links(matrices):
+    """The (n+1, N, 4, 4) stack of a general chunk's drawn matrices, checked once.
+
+    The check hermitises and clamps member by member, so each link gets
+    the bits it gets checked alone.  A failing stack raises what its first
+    bad link in draw order (chain by chain, link by link) raises alone.
+    """
+    return _checked_states(matrices, matrices.swapaxes(0, 1).reshape(-1, 4, 4))
+
+
+def _bloch_rows(forms: BlochForm) -> list[tuple[BlochForm, ...]]:
+    """Each chain's links of an (n+1, N) stack of Bloch forms, as forms that share its read-only arrays.
+
+    No link is checked again: the stack was checked whole when it was built.
+    """
+    r, s, T = (values.swapaxes(0, 1) for values in (forms.r, forms.s, forms.T))
+    return [
+        tuple(_unchecked(BlochForm, r=r_k, s=s_k, T=T_k) for r_k, s_k, T_k in zip(*chain))
+        for chain in zip(r, s, T)
+    ]
 
 
 def _grid_links(config: SweepConfig, n: int, chunk_size: int):

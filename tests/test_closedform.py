@@ -379,7 +379,8 @@ def test_stacked_queries_reject_columns_of_different_lengths():
     lambda: BdsChainQuery(((0.1, 0.2, 0.3, 0.4),) * 2, (0.9,)),
     lambda: BdsChainQuery((0.5, 0.5), (0.9,)),
     lambda: BdsChainQuery((("a", 0.0, 0.0),) * 2, (0.9,)),
-], ids=["two-numbers", "four-numbers", "not-a-triple", "not-numbers"])
+    lambda: BdsChainQuery(((np.array([0.1 + 1j]), np.array([0.0]), np.array([0.0])),) * 2, (0.9,)),
+], ids=["two-numbers", "four-numbers", "not-a-triple", "not-numbers", "complex-arrays"])
 def test_bds_query_refuses_malformed_links(build):
     assert _raised(build) is InvalidParametersError
 
@@ -388,7 +389,10 @@ def test_bds_query_refuses_malformed_links(build):
     lambda: WernerChainQuery(("x", 0.9), (0.9,)),
     lambda: WernerChainQuery((None, 0.9), (0.9,)),
     lambda: WernerChainQuery((np.array(["x", "y"]), np.array([0.5, 0.9])), (0.9,)),
-], ids=["string", "none", "string-array"])
+    lambda: WernerChainQuery((0.5 + 1j, 0.5), (0.9,)),
+    lambda: WernerChainQuery((np.array([0.5 + 1j]), np.array([0.5])), (0.9,)),
+    lambda: WernerChainQuery((np.complex128(0.5), 0.5), (0.9,)),
+], ids=["string", "none", "string-array", "complex", "complex-array", "complex-numpy-scalar"])
 def test_werner_query_refuses_malformed_links(build):
     assert _raised(build) is InvalidParametersError
 

@@ -453,6 +453,18 @@ def test_a_stack_of_strings_raises_invalid_parameters():
         BdsParams(np.array(["a"]), np.array(["b"]), np.array(["c"]))
 
 
+@pytest.mark.parametrize("columns", [
+    (np.array([0.1 + 1j]), np.array([0.0]), np.array([0.0])),
+    (np.array([0.1, 0.2]), np.array([0.0, 0.0]), np.array([0.0, 0.0j])),
+], ids=["complex", "zero-imaginary-part"])
+def test_a_complex_stack_raises_invalid_parameters(columns):
+    # a stack is not cast to its real parts: a complex correlation is refused, as a complex number is
+    with pytest.raises(InvalidParametersError, match="must be finite numbers"):
+        BdsParams(0.1 + 1j, 0.0, 0.0)
+    with pytest.raises(InvalidParametersError, match="must be finite numbers"):
+        BdsParams(*columns)
+
+
 @pytest.mark.parametrize("p", [
     np.array(["a"]),
     np.array("a"),

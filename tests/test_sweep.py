@@ -24,6 +24,7 @@ from entswap import (
     NoiseModel,
     SweepConfig,
     SweepRecord,
+    TwoQubitState,
     WernerParams,
     chain_swap,
     concurrence,
@@ -45,7 +46,7 @@ from entswap import sweep as sweep_module
 from entswap.closedform import cell_queries
 from entswap.measures import FLAG_MARGIN, flags
 from entswap.states import _unchecked
-from entswap.sweep import _inside_tetrahedron, _link_stack, evaluate_chain
+from entswap.sweep import _checked_general_links, _inside_tetrahedron, _link_stack, _random_links, evaluate_chain
 from helpers import reference_closedform_end_state, reference_sample_state
 
 
@@ -1653,6 +1654,121 @@ def test_random_sweeps_check_no_drawn_link_alone(monkeypatch, family, engine):
     # the count sees a link checked alone
     WernerParams(0.5), BdsParams(0.1, 0.2, 0.3)
     assert scalar_checks[0] == 2
+
+
+@pytest.mark.parametrize("swap_mode", ["paper", "povm"])
+def test_general_sweeps_check_no_drawn_link_alone(monkeypatch, swap_mode):
+    # without entangled_inputs_only, only each chunk's stack of drawn links is checked
+    checks = [0]
+    post_init = TwoQubitState.__post_init__
+
+    def counting(self):
+        checks[0] += 1
+        return post_init(self)
+
+    monkeypatch.setattr(TwoQubitState, "__post_init__", counting)
+    config = SweepConfig(family="general", sample_count=30, n_repeaters=[1, 3], eta_spec=[0.8, 1.0], seed=17,
+                         engine="oracle", swap_mode=swap_mode)
+    records, _ = run_sweep(config)
+    assert len(records) == 2 * 3 * 30
+    assert checks[0] == 0
+    # the count sees a link checked alone: one try of a single draw, or every try of a sweep
+    # of entangled links only, whose tries each need their own concurrence
+    sample_state("general", link_generator(17, 0))
+    assert checks[0] == 1
+    run_sweep(dataclasses.replace(config, entangled_inputs_only=True))
+    assert checks[0] > 1 + 30 * (2 + 3 + 4)
+
+
+class _ScriptedNormals:
+    """The streams of link_generator(seed, index), but sample ``index``'s first normals are ``script``'s arrays.
+
+    A restart (sweep._restart assigns ``bit_generator.state``) rewinds the
+    real stream and, for that sample, the script.
+    """
+
+    def __init__(self, seed, index, script):
+        self._rng = link_generator(seed, 0)
+        self._index, self._script, self._pending = index, script, []
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self._rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self._rng.bit_generator.state = value
+        self._pending = list(self._script) if value["state"]["key"][1] == self._index else []
+
+    def normal(self, size=None):
+        return self._pending.pop(0) if self._pending else self._rng.normal(size=size)
+
+
+def _rank_deficient_normals(links: int) -> list:
+    """The normals of ``links`` draws whose G has two equal rows: G G+ / Tr has rank 3, up to rounding."""
+    rng = np.random.default_rng(2024)
+    normals = []
+    for _ in range(links):
+        for part in rng.normal(size=(2, 4, 4)):
+            part[1] = part[0]
+            normals.append(part)
+    return normals
+
+
+@pytest.mark.parametrize("seed, n, count, chunk_size", [
+    (3, 1, 17, 7),
+    (29, 2, 40, 40),
+    (2**64 - 1, 3, 12, 5),
+    (0, 4, 9, 4),
+], ids=["n1-three-chunks", "n2-one-chunk", "n3-largest-seed", "n4-three-chunks"])
+def test_stacked_general_links_equal_the_per_link_draws(monkeypatch, seed, n, count, chunk_size):
+    # a chunk checks and decomposes its drawn links as one stack; every matrix, Bloch form and c_in
+    # must equal, bit for bit, what drawing and checking each link alone gives.  One sample's
+    # links come from rank-deficient G's, so some of its links are clamped, and a clamped link
+    # checked a second time changes: the stack must check each link exactly once.
+    script, clamped = _rank_deficient_normals(n + 1), count // 2
+    monkeypatch.setattr(sweep_module, "link_generator", lambda s, index: _ScriptedNormals(s, clamped, script))
+    reference = _ScriptedNormals(seed, clamped, script)
+    config = SweepConfig(family="general", sample_count=count, n_repeaters=n, seed=seed, engine="oracle")
+    seen, rechecked = [], 0
+    for indices, params, c_in, links in _random_links(config, n, chunk_size):
+        expected_params, states = [], []
+        for index in indices:
+            sweep_module._restart(reference, seed, index)
+            drawn, dense = zip(*(sample_state("general", reference, dense=False) for _ in range(n + 1)))
+            expected_params.append(drawn)
+            states.append(dense)
+        expected = np.array([[state.matrix for state in column] for column in zip(*states)])
+        assert links.shape == (n + 1, len(indices), 4, 4)
+        assert np.array_equal(links, expected)
+        assert c_in == [tuple(chain) for chain in concurrence(expected).T.tolist()]
+        assert len(params) == len(indices) and all(len(chain) == n + 1 for chain in params)
+        for chain, expected_chain in zip(params, expected_params):
+            for form, expected_form in zip(chain, expected_chain):
+                for name in ("r", "s", "T"):
+                    value, expected_value = getattr(form, name), getattr(expected_form, name)
+                    assert np.array_equal(value, expected_value) and value.shape == expected_value.shape
+                    assert not value.flags.writeable
+        rechecked += sum(not np.array_equal(TwoQubitState(m).matrix, m) for m in links.reshape(-1, 4, 4))
+        seen.extend(indices)
+    assert seen == list(range(count))
+    assert rechecked > 0
+
+
+def test_a_failing_general_link_stack_raises_what_its_first_bad_link_raises_alone():
+    # a general chunk's links are drawn chain by chain, link by link: that order, not the
+    # stack's rows or its check of all links at once, decides which error a failing stack raises
+    good = np.eye(4, dtype=complex) / 4
+    not_hermitian, wrong_trace = good.copy(), 2 * good
+    not_hermitian[0, 1] = 0.1
+    stack = np.array([[good] * 3] * 2)
+    stack[0, 2] = not_hermitian  # chain 2's first link: first in row order
+    stack[1, 1] = wrong_trace  # chain 1's second link: first in draw order
+    alone = _raised_error(lambda: TwoQubitState(wrong_trace))
+    assert alone != _raised_error(lambda: TwoQubitState(not_hermitian))
+    assert _raised_error(lambda: _checked_general_links(stack)) == alone
+    assert np.array_equal(_checked_general_links(np.array([[good] * 3] * 2)), np.array([[good] * 3] * 2))
 
 
 @pytest.mark.parametrize("family", ["werner", "bds"])
