@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParametersError
 from .measures import FLAG_MARGIN, _werner_concurrence, concurrence_bds
-from .states import BdsParams, _unchecked, check_visibility
+from .states import BdsParams, _in_unit_interval, _is_complex, _unchecked, check_visibility
 from .swap import NoiseModel, _as_noise
 
 #: Returned by max_entangled_swaps when no number of swaps kills entanglement.
@@ -60,7 +60,7 @@ def _as_visibility(p) -> float | np.ndarray:
     """
     try:
         # numpy would cast complex values to their real parts, with a warning only
-        if np.iscomplexobj(p):
+        if _is_complex(p):
             raise TypeError("a complex visibility")
         return np.array(p, dtype=float) if isinstance(p, np.ndarray) else float(p)
     except (TypeError, ValueError):
@@ -255,9 +255,10 @@ def max_entangled_swaps(eta: float, p: float) -> int | float:
     Returns UNBOUNDED for the loss-free perfect chain (eta = p = 1) and 0
     when even a single swap breaks entanglement.
     """
-    if not 0.0 < eta <= 1.0:
+    # _in_unit_interval refuses what is not one real number, so a string or a complex value raises DomainError too
+    if not (_in_unit_interval(eta) and eta > 0.0):
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    if not 1.0 / 3.0 < p <= 1.0:
+    if not (_in_unit_interval(p) and p > 1.0 / 3.0):
         raise DomainError(f"p must lie in (1/3, 1], got {p}")
     if eta == 1.0 and p == 1.0:
         return UNBOUNDED

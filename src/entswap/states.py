@@ -58,10 +58,32 @@ def _any(mask) -> bool:
     return bool(mask.any() if mask.ndim else mask)
 
 
+def _is_complex(x) -> bool:
+    """True for a complex number, numpy's included, or a complex array.
+
+    numpy orders complex values, which Python does not, and float() of a
+    numpy complex drops its imaginary part with a warning only, so a
+    complex value must be refused by its type.
+    """
+    return isinstance(x, (complex, np.complexfloating)) or (isinstance(x, np.ndarray) and x.dtype.kind == "c")
+
+
+def _as_real(x) -> float:
+    """float(x), refusing a complex value with TypeError, as float() refuses a Python complex."""
+    if _is_complex(x):
+        raise TypeError(f"{x!r} is complex")
+    return float(x)
+
+
 def _in_unit_interval(x) -> bool:
-    """0 <= x <= 1; False for NaN and for what does not compare as one number, such as a string, None or a list."""
+    """0 <= x <= 1 for one real number.
+
+    False for NaN, for a complex value, for an array of one or more
+    dimensions and for what does not compare as one number, such as a
+    string, None or a list.
+    """
     try:
-        return bool(0.0 <= x <= 1.0)
+        return not _is_complex(x) and not getattr(x, "ndim", 0) and bool(0.0 <= x <= 1.0)
     except (TypeError, ValueError):
         return False
 
@@ -88,9 +110,24 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _as_complex_array(value, label: str) -> np.ndarray:
+    """``value`` as a complex array; what numpy cannot read as numbers, such as a dict, raises InvalidStateError."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidStateError(f"{label} must be an array of numbers, got {type(value).__name__}") from None
+
+
 def _as_matrix(state) -> np.ndarray:
-    """Unwrap a state object to its matrix; pass bare arrays through."""
-    return np.asarray(getattr(state, "matrix", state), dtype=complex)
+    """Unwrap a state object to its matrix; read anything else as a complex (..., 4, 4) array.
+
+    Input that is not a 4x4 matrix or a stack of them, such as a number,
+    raises InvalidStateError.
+    """
+    m = _as_complex_array(getattr(state, "matrix", state), "a two-qubit state")
+    if m.shape[-2:] != (4, 4):
+        raise InvalidStateError(f"a two-qubit state is a 4x4 matrix or a stack of them, got shape {m.shape}")
+    return m
 
 
 def _checked_density_matrix(matrix, shape: tuple[int, ...], label: str) -> np.ndarray:
@@ -101,7 +138,7 @@ def _checked_density_matrix(matrix, shape: tuple[int, ...], label: str) -> np.nd
     [-PSD_TOL, 0) are set to zero and the member is reassembled and
     renormalized; anything more negative is an error.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _as_complex_array(matrix, label)
     if m.shape != shape:
         raise InvalidStateError(f"{label} must be {'x'.join(map(str, shape))}, got shape {m.shape}")
     adjoint = m.conj().swapaxes(-1, -2)
@@ -204,7 +241,7 @@ def check_visibility(p: float | np.ndarray) -> None:
         try:
             # "not within [0, 1]" rather than "beyond it", so NaN fails too; numpy orders complex
             # values, which Python does not, so every member of a complex array fails as it fails alone
-            outside = ~((0.0 <= p) & (p <= 1.0)) | np.iscomplexobj(p)
+            outside = ~((0.0 <= p) & (p <= 1.0)) | _is_complex(p)
         except TypeError:  # strings, or objects that do not compare with a float: each member raises alone
             outside = np.ones(p.shape, dtype=bool)
         if outside.any():
@@ -235,7 +272,10 @@ class BdsParams:
             return
         # three plain checks: sample_state builds one of these for every accepted bds link
         try:
-            finite = math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)
+            # math.isfinite refuses a string and a Python complex, but reads a numpy complex's real part
+            finite = not _is_complex(t1) and not _is_complex(t2) and not _is_complex(t3) and (
+                math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)
+            )
         except TypeError:  # a string, None or any other non-number
             finite = False
         if not finite:
@@ -250,7 +290,7 @@ class BdsParams:
     def _check_stack(self) -> None:
         try:
             # numpy would cast complex values to their real parts, with a warning only
-            if any(map(np.iscomplexobj, self.as_tuple())):
+            if any(map(_is_complex, self.as_tuple())):
                 raise TypeError("complex correlations")
             t1, t2, t3 = columns = [np.array(t, dtype=float) for t in self.as_tuple()]
         except (TypeError, ValueError):  # strings, complex values, or objects that float() refuses
@@ -328,7 +368,7 @@ def make_werner(params: WernerParams | float) -> TwoQubitState:
     """
     if not isinstance(params, WernerParams):
         try:
-            p = float(params)
+            p = _as_real(params)
         except (TypeError, ValueError):
             raise InvalidParametersError(f"a visibility is one number, got {params!r}") from None
         params = WernerParams(p)
@@ -345,7 +385,7 @@ def _as_bds_params(params) -> BdsParams:
     if isinstance(params, BdsParams):
         return params
     try:
-        t1, t2, t3 = map(float, params)
+        t1, t2, t3 = map(_as_real, params)
     except (TypeError, ValueError):
         raise InvalidParametersError(f"a correlation triple is three numbers, got {params!r}") from None
     return BdsParams(t1, t2, t3)
@@ -444,10 +484,13 @@ def apply_local(state: TwoQubitState, left_pauli: int, right_pauli: int) -> TwoQ
 def validate(state) -> StateDiagnostics:
     """Report the invariant residuals of any 4x4 complex matrix.
 
-    Never raises: the minimum eigenvalue is taken from the Hermitian part
-    of the input, and numerical failures surface as nan.
+    Never raises on a 4x4 matrix: the minimum eigenvalue is taken from the
+    Hermitian part of the input, and numerical failures surface as nan.
+    Input that is not one, a stack included, raises InvalidStateError.
     """
     m = _as_matrix(state)
+    if m.ndim != 2:
+        raise InvalidStateError(f"validate reports on one 4x4 matrix, got shape {m.shape}")
     defect = float(np.abs(m - m.conj().T).max())
     trace_defect = float(abs(m.trace() - 1.0))
     try:

@@ -28,10 +28,11 @@ closed form is called once per cell on a query that reads its row.  On the
 oracle all cells of an n are one stack of at most CHUNK_SIZE chains
 (cells x samples): a chunk holds CHUNK_SIZE // cells samples, and each
 node's eta is a column over the cells.  A general chunk drawn without
-entangled_inputs_only is checked and Pauli-decomposed as one stack of
-drawn matrices (_SampleNormals), member by member, so each link gets the
-bits it gets checked alone.  A random chunk's input concurrences are read
-off its stack in one call.  A single chain
+entangled_inputs_only reads each link's normals through _SampleNormals,
+then forms every G, G G+ and trace as one stack (_hilbert_schmidt), and
+checks and Pauli-decomposes that stack, member by member, so each link
+gets the bits it gets formed and checked alone.  A random chunk's input
+concurrences are read off its stack in one call.  A single chain
 (evaluate_chain) is the stack of one chain in one cell.  Each cell's
 records are built from its row of the stack's results.
 ENTSWAP_THREADS must be an integer if set, but it selects nothing.
@@ -241,9 +242,9 @@ class _SampleNormals:
     It reads by the same ``normal`` calls as the generator itself, so every
     try draws the same G.  Only the type differs: a general link drawn
     from it without entangled_inputs_only comes back from sample_state as
-    its normalised matrix, not checked on its own, for a sweep that checks
-    and decomposes its chunk's links as one stack.  One serves a sweep's
-    n: the generator it wraps is restarted for each sample.
+    the two real (4, 4) normal arrays of its G, for a sweep that forms,
+    checks and decomposes its chunk's links as one stack.  One serves a
+    sweep's n: the generator it wraps is restarted for each sample.
     """
 
     __slots__ = ("normal",)
@@ -282,13 +283,16 @@ def sample_state(
     state, so it is returned either way.  The stream is consumed the same
     way in both cases.
 
-    A general try reads two ``normal((4, 4))`` calls.  A random sweep
-    hands each general sample a _SampleNormals, which reads the same
-    normals.  A link drawn from it without entangled_inputs_only comes
-    back as (None, matrix): the normalised matrix, neither checked nor
-    decomposed.  The sweep checks and decomposes its chunk's links as one
-    stack, member by member, so each link gets the bits its own
-    TwoQubitState and pauli_decompose would give it.  With
+    A general try reads two ``normal((4, 4))`` calls, A and B, and
+    G = A + iB.  A random sweep hands each general sample a
+    _SampleNormals, which reads the same normals.  A link drawn from it
+    without entangled_inputs_only comes back as (None, (A, B)): its two
+    real arrays, with no complex build, product or normalisation.  The
+    sweep forms G, G G+ and the trace of its chunk's links as one stack
+    (_hilbert_schmidt), then checks and decomposes that stack, member by
+    member, so each link gets the bits its own _hilbert_schmidt,
+    TwoQubitState and pauli_decompose would give it.  Any other try forms
+    its one matrix by the same _hilbert_schmidt.  With
     entangled_inputs_only every try is checked alone: its concurrence
     decides whether another is drawn.
     """
@@ -315,12 +319,10 @@ def sample_state(
             return params, make_bell_diagonal(params) if dense else None
     elif family == "general":
         for _ in range(_MAX_REJECTIONS):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m = g @ g.conj().T
-            m = m / m.trace().real
+            a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
             if not entangled_inputs_only and isinstance(rng, _SampleNormals):
-                return None, m
-            state = TwoQubitState(m)
+                return None, (a, b)
+            state = TwoQubitState(_hilbert_schmidt(a + 1j * b))
             if entangled_inputs_only and concurrence(state) <= 0.0:
                 continue
             return pauli_decompose(state), state
@@ -557,12 +559,15 @@ def _random_links(config: SweepConfig, n: int, chunk_size: int):
     time, and a general sample's through _SampleNormals, by the
     generator's own normal calls.  Werner and BDS samples are drawn as
     parameters only, and a chunk's links are its :func:`_link_stack`.  A
-    general chunk drawn without entangled_inputs_only is drawn as
-    unchecked matrices; its (n+1, N) stack is checked once
-    (:func:`_checked_general_links`) and decomposed by one pauli_decompose
-    call, and each link's parameters are its row of that stack.  With
-    entangled_inputs_only each general link is checked and decomposed
-    alone, as its try is drawn.  A chunk's c_in is read off its stack.
+    general chunk drawn without entangled_inputs_only is drawn as the
+    real normals of each link's G, stacked to (n+1, N, 2, 4, 4).  The
+    chunk builds every G elementwise, forms G G+ / Tr(G G+) by one
+    :func:`_hilbert_schmidt` call, checks the (n+1, N) stack once
+    (:func:`_checked_general_links`) and decomposes it by one
+    pauli_decompose call; each link's parameters are its row of that
+    stack.  With entangled_inputs_only each general link is formed,
+    checked and decomposed alone, as its try is drawn.  A chunk's c_in is
+    read off its stack.
     """
     rng = link_generator(config.seed, 0)
     general = config.family == "general"
@@ -581,11 +586,26 @@ def _random_links(config: SweepConfig, n: int, chunk_size: int):
             params.append(drawn)
             states.append(dense)
         if stacked:
-            links = _checked_general_links(np.array(list(zip(*states))))
+            # each link's two (4, 4) normals, as an (n+1, N, 2, 4, 4) stack
+            pairs = np.array(list(zip(*states)))
+            links = _checked_general_links(_hilbert_schmidt(pairs[:, :, 0] + 1j * pairs[:, :, 1]))
             params = _bloch_rows(pauli_decompose(links))
         else:
             links = _link_stack(config.family, config.engine, params, states)
         yield indices, params, _stacked_input_concurrences(config.family, config.engine, params, links), links
+
+
+def _hilbert_schmidt(g):
+    """G G+ / Tr(G G+) of a complex 4x4 G, or of each member of a (..., 4, 4) stack.
+
+    The product is one matmul, which runs a stack's members through the
+    same 4x4 zgemm as a single G.  The trace is summed from the real
+    diagonal as (d0 + d1) + (d2 + d3), the order numpy's own trace uses,
+    so every member gets the bits it gets alone.
+    """
+    m = g @ g.conj().swapaxes(-1, -2)
+    d = m.real.diagonal(axis1=-2, axis2=-1)
+    return m / ((d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3]))[..., None, None]
 
 
 def _checked_general_links(matrices):

@@ -312,6 +312,14 @@ def test_max_entangled_swaps_domain():
         max_entangled_swaps(0.9, 1.2)
 
 
+@pytest.mark.parametrize("eta, p", [("a", 0.9), (0.9, "a"), (None, 0.9), (0.9, [0.9]), (np.array([0.9]), 0.9),
+                                    (np.complex128(0.9 + 1j), 0.9), (0.9, np.complex128(0.9))],
+                         ids=["eta-string", "p-string", "eta-none", "p-list", "eta-array", "eta-complex", "p-complex"])
+def test_max_entangled_swaps_refuses_what_is_not_a_real_number(eta, p):
+    with pytest.raises(DomainError):
+        max_entangled_swaps(eta, p)
+
+
 def test_concurrence_monotonicity():
     base = werner_chain_concurrence(wq((0.9, 0.9), (0.9,)))
     assert werner_chain_concurrence(wq((0.95, 0.9), (0.9,))) >= base

@@ -23,6 +23,7 @@ from entswap import (
     pauli_decompose,
     report,
     teleportation_fidelity,
+    validate,
 )
 from entswap.states import PAULI, _checked_density_matrix
 from helpers import ginibre_matrix, random_tetrahedron_point
@@ -180,6 +181,21 @@ def test_empty_stacks_give_empty_results(shape):
     r = report(empty)
     assert all(np.shape(value) == lead for value in (r.concurrence, r.fidelity, r.entangled, r.useful_for_teleportation))
     assert _checked_density_matrix(empty, shape, "stack").shape == shape
+
+
+@pytest.mark.parametrize("bad", [0.5, "x", {}, None, np.zeros((3, 3)), np.zeros(16).reshape(2, 8)],
+                         ids=["number", "string", "dict", "none", "3x3", "2x8"])
+def test_input_that_is_not_a_4x4_matrix_raises_invalid_state(bad):
+    # numpy's own LinAlgError, ValueError or TypeError must not escape a measure or a state
+    for build in (concurrence, teleportation_fidelity, report, pauli_decompose, TwoQubitState, validate):
+        with pytest.raises(InvalidStateError):
+            build(bad)
+
+
+def test_validate_refuses_a_stack():
+    # the measures read a stack of 4x4 matrices, but validate reports on one matrix
+    with pytest.raises(InvalidStateError):
+        validate(np.stack([np.eye(4) / 4] * 3))
 
 
 @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((1, 2), np.inf), (None, np.nan)])

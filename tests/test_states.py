@@ -9,6 +9,7 @@ from entswap import (
     DomainError,
     InvalidParametersError,
     InvalidStateError,
+    NoiseModel,
     TwoQubitState,
     WernerParams,
     apply_local,
@@ -446,6 +447,26 @@ def test_family_parameters_of_the_wrong_length_or_kind_raise_invalid_parameters(
 def test_parameters_refuse_non_numbers(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("value", [np.complex128(0.5 + 1j), np.complex128(0.5), np.complex64(0.5 + 1j),
+                                   np.array(0.5 + 1j), 0.5 + 1j],
+                         ids=["complex128", "zero-imaginary-part", "complex64", "0-d-array", "python-complex"])
+def test_complex_values_are_refused_as_python_complex_is(value):
+    # numpy orders complex values and float() drops their imaginary parts with a warning only,
+    # so a numpy complex must be refused by its type, as a Python complex is refused
+    with pytest.raises(DomainError):
+        WernerParams(value)
+    with pytest.raises(DomainError):
+        check_visibility(value)
+    with pytest.raises(DomainError):
+        NoiseModel((0.9, value))
+    with pytest.raises(InvalidParametersError):
+        make_werner(value)
+    with pytest.raises(InvalidParametersError):
+        BdsParams(value, 0.0, 0.0)
+    with pytest.raises(InvalidParametersError):
+        make_bell_diagonal((0.1, value, 0.0))
 
 
 def test_a_stack_of_strings_raises_invalid_parameters():

@@ -1771,6 +1771,56 @@ def test_a_failing_general_link_stack_raises_what_its_first_bad_link_raises_alon
     assert np.array_equal(_checked_general_links(np.array([[good] * 3] * 2)), np.array([[good] * 3] * 2))
 
 
+def _hilbert_schmidt_alone(g):
+    """G G+ / Tr(G G+) of one G, by numpy's own product and trace."""
+    m = g @ g.conj().T
+    return m / m.trace().real
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+def test_hilbert_schmidt_equals_the_product_over_its_trace(seed):
+    # a single G and each member of an (n+1, N) stack get the bits of g @ g+ / trace, every
+    # fifth G having two equal rows (rank-deficient); the trace is summed as (d0 + d1) + (d2 + d3)
+    rng = np.random.default_rng(seed)
+    normals = rng.normal(size=(4, 50, 2, 4, 4))
+    normals[:, ::5, :, 1] = normals[:, ::5, :, 0]
+    g = normals[:, :, 0] + 1j * normals[:, :, 1]
+    stacked = sweep_module._hilbert_schmidt(g)
+    assert stacked.shape == g.shape
+    for k, j in np.ndindex(g.shape[:2]):
+        expected = _hilbert_schmidt_alone(g[k, j])
+        assert np.array_equal(stacked[k, j], expected)
+        assert np.array_equal(sweep_module._hilbert_schmidt(g[k, j]), expected)
+    # control: the same four diagonal terms summed in sequence, ((d0 + d1) + d2) + d3, differ on some draws
+    differ = 0
+    for member in g.reshape(-1, 4, 4):
+        m = member @ member.conj().T
+        d = m.real.diagonal()
+        differ += not np.array_equal(m / (((d[0] + d[1]) + d[2]) + d[3]), _hilbert_schmidt_alone(member))
+    assert differ > 0
+
+
+@pytest.mark.parametrize("family", ["werner", "bds"])
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_random_sweeps_check_their_link_stack_once_per_chunk(monkeypatch, family, engine):
+    # 20 samples in chunks of 8 on the closed forms and of 8 // 2 cells = 4 on the oracle: each
+    # (n, chunk) checks one parameter stack of all its drawn links, the last chunk ending short
+    monkeypatch.setattr(sweep_module, "CHUNK_SIZE", 8)
+    checked = []
+    check = sweep_module._checked_stack
+
+    def counting(family, values):
+        checked.append(values.shape[-2:])
+        return check(family, values)
+
+    monkeypatch.setattr(sweep_module, "_checked_stack", counting)
+    records, _ = run_sweep(SweepConfig(family=family, sample_count=20, n_repeaters=[1, 2], eta_spec=[0.8, 1.0],
+                                       seed=23, entangled_inputs_only=family == "bds", engine=engine))
+    assert len(records) == 2 * 2 * 20
+    chunks = [8, 8, 4] if engine == "closedform" else [4] * 5
+    assert checked == [(n + 1, size) for n in (1, 2) for size in chunks]
+
+
 @pytest.mark.parametrize("family", ["werner", "bds"])
 @pytest.mark.parametrize("entangled_inputs_only", [False, True])
 def test_unchecked_draws_equal_the_reference_draws(family, entangled_inputs_only):
