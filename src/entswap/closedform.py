@@ -278,9 +278,10 @@ def subset_sum_normalization(etas) -> float:
 
     Each subset S contributes 4^|S| prod_{i in S}(1 - eta_i)
     prod_{i not in S} eta_i.  Telescopes to prod_i (4 - 3 eta_i); kept as
-    an independent route for cross-checks.
+    an independent route for cross-checks.  The etas are checked as a
+    NoiseModel's, so a value that is not a probability raises DomainError.
     """
-    etas = tuple(float(e) for e in etas)
+    etas = _as_noise(etas).etas
     terms = []
     for size in range(len(etas) + 1):
         for failed in combinations(range(len(etas)), size):

@@ -68,22 +68,30 @@ def _is_complex(x) -> bool:
     return isinstance(x, (complex, np.complexfloating)) or (isinstance(x, np.ndarray) and x.dtype.kind == "c")
 
 
+#: Types that float() reads, or that compare as numbers, but that are not numbers: text, which
+#: float() parses, and bools, which read as 0 and 1.  A sweep config refuses them too (sweep._is_real).
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
 def _as_real(x) -> float:
-    """float(x), refusing a complex value with TypeError, as float() refuses a Python complex."""
-    if _is_complex(x):
-        raise TypeError(f"{x!r} is complex")
+    """float(x), refusing a complex value, text or a bool with TypeError, as float() refuses a Python complex."""
+    if _is_complex(x) or isinstance(x, _NOT_NUMBERS):
+        raise TypeError(f"{x!r} is not a real number")
     return float(x)
 
 
 def _in_unit_interval(x) -> bool:
     """0 <= x <= 1 for one real number.
 
-    False for NaN, for a complex value, for an array of one or more
-    dimensions and for what does not compare as one number, such as a
-    string, None or a list.
+    False for NaN, for a complex value, for text or a bool, for an array
+    of one or more dimensions and for what does not compare as one
+    number, such as None or a list.
     """
     try:
-        return not _is_complex(x) and not getattr(x, "ndim", 0) and bool(0.0 <= x <= 1.0)
+        return (
+            not _is_complex(x) and not isinstance(x, _NOT_NUMBERS) and not getattr(x, "ndim", 0)
+            and bool(0.0 <= x <= 1.0)
+        )
     except (TypeError, ValueError):
         return False
 

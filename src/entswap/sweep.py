@@ -34,7 +34,10 @@ checks and Pauli-decomposes that stack, member by member, so each link
 gets the bits it gets formed and checked alone.  A random chunk's input
 concurrences are read off its stack in one call.  A single chain
 (evaluate_chain) is the stack of one chain in one cell.  Each cell's
-records are built from its row of the stack's results.
+row of a chunk's results is kept with the chunk's columns as one block,
+and run_sweep returns the blocks as a SweepRecords: a sequence that
+builds a SweepRecord only when one is read, and from whose columns
+write_csv reads its rows without building any.
 ENTSWAP_THREADS must be an integer if set, but it selects nothing.
 """
 
@@ -43,8 +46,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import chain, groupby, islice, product, repeat
+from itertools import accumulate, chain, groupby, islice, product, repeat, starmap
+from operator import attrgetter, index as as_index
 
 import numpy as np
 
@@ -177,6 +184,74 @@ class SweepRecord:
     @property
     def c_in_prod(self) -> float:
         return math.prod(self.c_in)
+
+
+#: A record's fields as one tuple, in field order: the row write_csv formats.
+_record_row = attrgetter(*SweepRecord.__slots__)
+
+
+class SweepRecords(Sequence):
+    """The records of one sweep, kept as column blocks; a record is built when it is read.
+
+    Each block holds one (chunk, cell) of the sweep, in plan order: the
+    chunk's sample indices (a range), n, link tuples and c_in tuples,
+    which every cell of the chunk shares, the cell's etas tuple, and the
+    cell's c_out, f_out, entangled and useful columns.  Reading a record,
+    by index, slice or iteration, builds a plain SweepRecord from its row,
+    sharing the block's link and etas objects; so ``records[i] is
+    records[i]`` is False, and as records compare by identity, a record
+    read from the sequence is not ``in`` it.  A slice is a list of
+    records.  The sequence has no append, sort or del: ``list(records)``
+    is a list.  Assigning one record (``records[i] = record``) turns the
+    sequence into a list of its records, which every later read, and
+    write_csv, then sees.
+    """
+
+    __slots__ = ("_family", "_blocks", "_ends", "_list")
+
+    def __init__(self, family: str, blocks: list[tuple]):
+        self._family = family
+        self._blocks = blocks
+        self._ends = list(accumulate(len(block[0]) for block in blocks))
+        self._list = None
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, key):
+        if self._list is not None:
+            return self._list[key]
+        if isinstance(key, slice):
+            return [self[k] for k in range(*key.indices(len(self)))]
+        position = as_index(key)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("sweep record index out of range")
+        b = bisect_right(self._ends, position)
+        indices, n, params, etas, c_in, c_out, f_out, entangled, useful = self._blocks[b]
+        k = position - (self._ends[b - 1] if b else 0)
+        return SweepRecord(indices[k], self._family, n, params[k], etas, c_in[k], c_out[k], f_out[k],
+                           entangled[k], useful[k])
+
+    def __setitem__(self, key, record: SweepRecord) -> None:
+        position = as_index(key)
+        if self._list is None:
+            self._list = list(self)
+        self._list[position] = record
+
+    def __iter__(self):
+        return iter(self._list) if self._list is not None else starmap(SweepRecord, self._rows())
+
+    def _rows(self):
+        """Each record's fields as one tuple, in field order, without building the record."""
+        if self._list is not None:
+            return map(_record_row, self._list)
+        family = self._family
+        return chain.from_iterable(
+            zip(indices, repeat(family), repeat(n), params, repeat(etas), c_in, c_out, f_out, entangled, useful)
+            for indices, n, params, etas, c_in, c_out, f_out, entangled, useful in self._blocks
+        )
 
 
 def link_generator(seed: int, index: int) -> np.random.Generator:
@@ -341,6 +416,14 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message; a value holding an int too long to print is described instead."""
+    try:
+        return repr(value)
+    except ValueError:  # an int beyond sys.get_int_max_str_digits()
+        return "a value holding an int too long to print"
+
+
 def _plan(config: SweepConfig) -> list[tuple[int, float | list, tuple[float, ...]]]:
     """Check every config value; return the cells as (n, json eta label, per-node etas)."""
     choices = {"family": FAMILIES, "mode": MODES, "engine": ENGINES, "swap_mode": SWAP_MODES}
@@ -362,15 +445,17 @@ def _plan(config: SweepConfig) -> list[tuple[int, float | list, tuple[float, ...
         if config.sample_count is not None:
             raise ConfigError("sample_count is only valid in random mode")
     if not _is_count(config.seed) or not 0 <= config.seed <= _SEED_MASK:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {config.seed!r}")
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {_shown(config.seed)}")
     if not isinstance(config.entangled_inputs_only, bool):
         raise ConfigError(f"entangled_inputs_only must be true or false, got {config.entangled_inputs_only!r}")
 
     bounds = [config.n_repeaters] * 2 if _is_count(config.n_repeaters) else config.n_repeaters
+    # a chain longer than sys.maxsize cannot be indexed: its cell's etas tuple alone would overflow
     if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2 and all(map(_is_count, bounds))
-            and 1 <= bounds[0] <= bounds[1]):
+            and 1 <= bounds[0] <= bounds[1] <= sys.maxsize):
         raise ConfigError(
-            f"n_repeaters must be a count >= 1 or [lo, hi] with 1 <= lo <= hi, got {config.n_repeaters!r}"
+            "n_repeaters must be a count >= 1 or [lo, hi] with 1 <= lo <= hi, both at most sys.maxsize, "
+            f"got {_shown(config.n_repeaters)}"
         )
     # a scalar eta_spec is a one-entry list; each entry is one eta for every node, or a per-node list
     spec = config.eta_spec
@@ -380,7 +465,7 @@ def _plan(config: SweepConfig) -> list[tuple[int, float | list, tuple[float, ...
         values = entry if per_node else [entry]
         if not values or not all(_is_real(eta) and 0 <= eta <= 1 for eta in values):
             raise ConfigError(
-                f"eta_spec entries must be numbers in [0, 1] or non-empty lists of them, got {entry!r}"
+                f"eta_spec entries must be numbers in [0, 1] or non-empty lists of them, got {_shown(entry)}"
             )
         if per_node and not bounds[0] == bounds[1] == len(entry):
             raise ConfigError(
@@ -707,19 +792,22 @@ def _check_thread_setting() -> None:
         raise ConfigError(f"ENTSWAP_THREADS must be an integer, got {raw!r}") from None
 
 
-def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
+def run_sweep(config: SweepConfig) -> tuple[SweepRecords, dict]:
     """Evaluate every cell of the sweep; returns (records, summary).
 
     Records are grouped by cell in plan order and sorted by sample index
     inside each cell.  Identical configs produce identical records.  The
     links of each (sample, n) are drawn or enumerated once, a chunk at a
     time, and every eta cell of that n reads them, so those cells' records
-    share link objects.
+    share link objects.  ``records`` is a SweepRecords: the sweep's
+    columns, one block per (chunk, cell), from which each record is built
+    when it is read.  It has no append, sort or del; ``list(records)`` is
+    a list.
     """
     plan = _plan(config)
     _check_thread_setting()
     link_source = _random_links if config.mode == "random" else _grid_links
-    records: list[SweepRecord] = []
+    blocks = []
     cells = []
     # the plan is n-major: each chunk of links is drawn once and serves every eta cell of its n
     for n, n_cells in groupby(plan, key=lambda cell: cell[0]):
@@ -735,28 +823,25 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
             c_out, f_out, _ = _evaluate_chains(config.family, config.engine, config.swap_mode, noises, links)
             entangled, useful = flags(c_out, f_out)
             rows = zip(n_cells, c_out, f_out, entangled, useful)
-            for (etas, cell_records, cell), c_row, f_row, e_row, u_row in rows:
+            for (etas, cell_blocks, cell), c_row, f_row, e_row, u_row in rows:
+                cell["samples"] += len(indices)
                 cell["entangled"] += int(np.count_nonzero(e_row))
                 cell["useful"] += int(np.count_nonzero(u_row))
                 # tolist() makes each zero its own float object; one shared 0.0 (no c_out
                 # is -0.0) saves 2.5 MiB on a 1.1e5-record grid whose c_out are almost all 0
                 c_row = [c or 0.0 for c in c_row.tolist()]
-                cell_records += [
-                    SweepRecord(index, config.family, n, link_params, etas, c, c_o, f_o, e, u)
-                    for index, link_params, c, c_o, f_o, e, u in zip(
-                        indices, params, c_in, c_row, f_row.tolist(), e_row.tolist(), u_row.tolist()
-                    )
-                ]
-        for _, cell_records, cell in n_cells:
-            records.extend(cell_records)
-            cell["samples"] = len(cell_records)
+                cell_blocks.append(
+                    (indices, n, params, etas, c_in, c_row, f_row.tolist(), e_row.tolist(), u_row.tolist())
+                )
+        for _, cell_blocks, cell in n_cells:
+            blocks += cell_blocks
             cells.append(cell)
     summary = {
         "config_echo": config.to_dict(),
         "totals": {key: sum(cell[key] for cell in cells) for key in ("samples", "entangled", "useful")},
         "cells": cells,
     }
-    return records, summary
+    return SweepRecords(config.family, blocks), summary
 
 
 def _fmt(value: float) -> str:
@@ -812,8 +897,11 @@ class _FloatTexts(dict):
 def write_csv(records, path) -> None:
     """Write records with the fixed 11-column schema; UTF-8, LF, %.12g.
 
-    ``records`` is read once, so it may be an iterator.  Each row is one
-    string, built from two memos that live for the call:
+    ``records`` is read once, so it may be an iterator.  Each record is
+    read as the tuple of its fields: a SweepRecords yields them from its
+    columns, building no SweepRecord, and any other records are read by
+    attribute.  Each row is one string, built from two memos that live
+    for the call:
     - each distinct link object and etas tuple is formatted once, keyed by
       id, never by value (0.0 and -0.0 are equal but print differently);
       the memo holds every object it formatted, so no id is reused while
@@ -836,34 +924,34 @@ def write_csv(records, path) -> None:
     kept = []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in records:
+        rows = records._rows() if isinstance(records, SweepRecords) else map(_record_row, records)
+        for index, family, n, link_params, etas, c_in, c_out, f_out, entangled, useful in rows:
             try:
-                link = ";".join([texts[id(p)] for p in r.link_params])
-                etas = texts[id(r.etas)]
+                link = ";".join([texts[id(p)] for p in link_params])
+                etas_text = texts[id(etas)]
             except KeyError:
                 if len(texts) >= _MEMO_ENTRIES:
                     texts.clear()
                     kept.clear()
-                for p in r.link_params:
+                for p in link_params:
                     if id(p) not in texts:
                         kept.append(p)
-                        texts[id(p)] = _format_link(r.family, p)
-                if id(r.etas) not in texts:
-                    kept.append(r.etas)
-                    texts[id(r.etas)] = _format_etas(r.etas)
-                link = ";".join([texts[id(p)] for p in r.link_params])
-                etas = texts[id(r.etas)]
+                        texts[id(p)] = _format_link(family, p)
+                if id(etas) not in texts:
+                    kept.append(etas)
+                    texts[id(etas)] = _format_etas(etas)
+                link = ";".join([texts[id(p)] for p in link_params])
+                etas_text = texts[id(etas)]
             if "," in link:
                 link = f'"{link}"'
-            c_in = r.c_in
-            c_min, c_prod, c_out, f_out = min(c_in), prod(c_in), r.c_out, r.f_out
+            c_min, c_prod = min(c_in), prod(c_in)
             fh.write(
-                f"{r.index},{r.family},{r.n},{link},{etas},"
+                f"{index},{family},{n},{link},{etas_text},"
                 f"{floats[c_min] if c_min else zero[copysign(1.0, c_min)]},"
                 f"{floats[c_prod] if c_prod else zero[copysign(1.0, c_prod)]},"
                 f"{floats[c_out] if c_out else zero[copysign(1.0, c_out)]},"
                 f"{floats[f_out] if f_out else zero[copysign(1.0, f_out)]},"
-                f"{'true' if r.entangled else 'false'},{'true' if r.useful else 'false'}\n"
+                f"{'true' if entangled else 'false'},{'true' if useful else 'false'}\n"
             )
 
 

@@ -533,3 +533,15 @@ def test_finals_and_node_scales_equal_the_loop_route_bit_for_bit(family):
         for etas, query in zip(cells, closedform_module.cell_queries(stack, [NoiseModel(e) for e in cells])):
             final = query.final if family == "werner" else query.final.as_tuple()
             assert _bits(final) == _bits(reference_closedform_final(family, columns, etas)), (chains, etas)
+
+
+@pytest.mark.parametrize("etas", [("a",), (math.inf,), (math.nan,), (True,), (0.5, 1.5), (-0.1,), 0.5, None],
+                         ids=["text", "inf", "nan", "bool", "above-1", "below-0", "not-a-sequence", "none"])
+def test_subset_sum_normalization_reads_its_etas_as_a_noise_model(etas):
+    with pytest.raises(DomainError):
+        subset_sum_normalization(etas)
+
+
+def test_subset_sum_normalization_of_no_nodes_is_one():
+    assert subset_sum_normalization(()) == 1.0
+    assert subset_sum_normalization(NoiseModel((0.5, 1))) == subset_sum_normalization((0.5, 1.0)) == 2.5

@@ -16,12 +16,15 @@ from entswap import (
     bell_state,
     concurrence,
     concurrence_bds,
+    concurrence_werner,
     make_bell_diagonal,
     make_general,
     make_werner,
+    max_entangled_swaps,
     octahedron_separable,
     partial_trace_mid,
     pauli_decompose,
+    subset_sum_normalization,
     tensor,
     validate,
 )
@@ -566,3 +569,35 @@ def test_bare_matrices_and_stacks_keep_the_range_checks():
         pauli_decompose(np.array([bell, bell, 2.0 * bell]))
     with pytest.raises(InvalidParametersError):
         pauli_decompose(np.full((4, 4), np.nan, dtype=complex))
+
+
+# text that float() reads, and bools, which read as 0 and 1: none of them is a number to the library,
+# as none is to a sweep config
+_NOT_NUMBERS = ["0.5", b"0.5", np.str_("0.5"), True, False, np.True_, np.False_]
+_TAKES_ONE_NUMBER = [
+    (WernerParams, DomainError),
+    (check_visibility, DomainError),
+    (concurrence_werner, DomainError),
+    (lambda x: NoiseModel((0.9, x)), DomainError),
+    (lambda x: max_entangled_swaps(x, 0.9), DomainError),
+    (lambda x: max_entangled_swaps(0.9, x), DomainError),
+    (lambda x: subset_sum_normalization((x,)), DomainError),
+    (make_werner, InvalidParametersError),
+    (lambda x: make_bell_diagonal((0.0, x, 0.0)), InvalidParametersError),
+]
+_ENTRY_IDS = ["WernerParams", "check_visibility", "concurrence_werner", "NoiseModel", "max_entangled_swaps-eta",
+              "max_entangled_swaps-p", "subset_sum_normalization", "make_werner", "make_bell_diagonal"]
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("entry, error", _TAKES_ONE_NUMBER, ids=_ENTRY_IDS)
+def test_text_and_bools_are_not_numbers(entry, error, value):
+    with pytest.raises(error):
+        entry(value)
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), 1.0, np.float64(0.9)], ids=repr)
+@pytest.mark.parametrize("entry, error", _TAKES_ONE_NUMBER, ids=_ENTRY_IDS)
+def test_plain_numbers_still_pass_where_text_and_bools_do_not(entry, error, value):
+    # control for the table above: the same entry points take ints and floats, eta 1 included
+    entry(value)

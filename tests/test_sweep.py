@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -1952,3 +1953,132 @@ def test_closedform_grid_zeros_share_one_float():
     assert len(zeros) > 100
     assert len({id(c) for c in zeros}) == 1
     assert math.copysign(1.0, zeros[0]) == 1.0
+
+
+# every family on every engine it runs, random and grid, in three eta cells
+_BLOCK_CONFIGS = [
+    dict(family="werner", sample_count=23, n_repeaters=[1, 2], seed=7),
+    dict(family="werner", sample_count=17, n_repeaters=[1, 2], seed=7, engine="oracle", swap_mode="povm"),
+    dict(family="werner", mode="grid", grid_steps=3, n_repeaters=[1, 2]),
+    dict(family="werner", mode="grid", grid_steps=3, n_repeaters=[1, 2], engine="oracle"),
+    dict(family="bds", sample_count=23, n_repeaters=[1, 2], seed=7, entangled_inputs_only=True),
+    dict(family="bds", sample_count=17, n_repeaters=[1, 2], seed=7, engine="oracle"),
+    dict(family="bds", mode="grid", grid_steps=2, n_repeaters=[1, 2]),
+    dict(family="bds", mode="grid", grid_steps=2, n_repeaters=[1, 2], engine="oracle", swap_mode="povm"),
+    dict(family="general", sample_count=17, n_repeaters=[1, 2], seed=7, engine="oracle"),
+    dict(family="general", sample_count=11, n_repeaters=[1, 2], seed=7, engine="oracle", swap_mode="povm",
+         entangled_inputs_only=True),
+]
+
+
+def _block_config_id(config):
+    return "-".join(str(config.get(key, "")) for key in ("family", "mode", "engine", "swap_mode"))
+
+
+def _small_chunk_sweep(monkeypatch, config):
+    """run_sweep of ``config`` in three eta cells, with chunks of 8 chains so that every cell crosses chunks."""
+    monkeypatch.setattr(sweep_module, "CHUNK_SIZE", 8)
+    return run_sweep(SweepConfig(eta_spec=[0.6, 0.85, 1.0], **config))
+
+
+def test_a_sweep_and_its_csv_build_no_record(monkeypatch, tmp_path):
+    built = [0]
+    record_type = sweep_module.SweepRecord
+
+    def counting(*args, **kwargs):
+        built[0] += 1
+        return record_type(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "SweepRecord", counting)
+    records, summary = _small_chunk_sweep(monkeypatch, dict(family="werner", mode="grid", grid_steps=4,
+                                                            n_repeaters=[1, 2]))
+    write_csv(records, tmp_path / "sweep.csv")
+    assert built[0] == 0
+    assert len(records) == summary["totals"]["samples"] == 3 * (4**2 + 4**3)
+    # control: reading the records builds each one through the patched name
+    assert len(list(records)) == built[0] == len(records)
+
+
+def test_sweep_records_are_a_sequence_built_when_read(monkeypatch):
+    records, _ = _small_chunk_sweep(monkeypatch, dict(family="bds", sample_count=10, n_repeaters=[1, 2], seed=4))
+    assert isinstance(records, sweep_module.SweepRecords)
+    listed = list(records)
+    count = len(listed)
+    assert len(records) == count == 2 * 3 * 10
+    assert all(type(r) is SweepRecord for r in listed)
+    fields = [_record_fields(r) for r in listed]
+    assert [_record_fields(records[k]) for k in range(count)] == fields
+    assert [_record_fields(records[k - count]) for k in range(count)] == fields
+    assert [_record_fields(r) for r in reversed(records)] == fields[::-1]
+    for key in (slice(None), slice(3, 25), slice(-7, None), slice(None, None, -4), slice(59, 2, -9), slice(5, 5)):
+        part = records[key]
+        assert type(part) is list
+        assert [_record_fields(r) for r in part] == fields[key]
+    for key in (count, -count - 1):
+        with pytest.raises(IndexError):
+            records[key]
+    with pytest.raises(TypeError):
+        records["0"]
+    # each read builds a new record, which shares its block's link and etas objects
+    assert records[13] is not records[13]
+    assert records[13].link_params is records[13].link_params and records[13].etas is records[13].etas
+    # a sample's links serve every eta cell of its n; a cell's records share its etas tuple
+    assert records[0].link_params is records[10].link_params is records[20].link_params
+    assert records[0].etas is records[9].etas and records[0].etas is not records[10].etas
+    for name in ("append", "sort", "extend", "insert"):
+        assert not hasattr(records, name)
+    with pytest.raises((AttributeError, TypeError)):
+        del records[0]
+    with pytest.raises(TypeError):
+        records[0:2] = listed[0:2]
+
+
+def test_an_assigned_record_is_what_is_read_and_written(monkeypatch, tmp_path):
+    records, _ = _small_chunk_sweep(monkeypatch, dict(family="werner", sample_count=10, n_repeaters=[1, 2], seed=4))
+    before = [_record_fields(r) for r in records]
+    first, last = dataclasses.replace(records[0], c_out=0.125), dataclasses.replace(records[-1], f_out=0.75)
+    records[0] = first
+    records[-1] = last
+    assert records[0] is first and records[len(records) - 1] is last and records[-1:] == [last]
+    assert len(records) == len(before)
+    assert [_record_fields(r) for r in records][1:-1] == before[1:-1]
+    write_csv(records, tmp_path / "sweep.csv")
+    assert _first_wrong_row(tmp_path / "sweep.csv", list(records)) is None
+    rows = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1].split(",")[7] == "0.125" and rows[-1].split(",")[8] == "0.75"
+
+
+@pytest.mark.parametrize("config", _BLOCK_CONFIGS, ids=_block_config_id)
+def test_csv_of_record_blocks_equals_csv_of_their_records(monkeypatch, tmp_path, config):
+    records, _ = _small_chunk_sweep(monkeypatch, config)
+    write_csv(records, tmp_path / "blocks.csv")
+    write_csv(list(records), tmp_path / "list.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+    assert _first_wrong_row(tmp_path / "blocks.csv", records) is None
+    # an assigned record: the sequence is written from its records, and still agrees
+    k = len(records) // 2
+    records[k] = dataclasses.replace(records[k], c_out=records[k].c_out + 0.5, useful=not records[k].useful)
+    write_csv(records, tmp_path / "assigned.csv")
+    write_csv(list(records), tmp_path / "assigned-list.csv")
+    assert (tmp_path / "assigned.csv").read_bytes() == (tmp_path / "assigned-list.csv").read_bytes()
+    assert _first_wrong_row(tmp_path / "assigned.csv", records) is None
+    assert (tmp_path / "assigned.csv").read_bytes() != (tmp_path / "blocks.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_repeaters", [
+    sys.maxsize + 1, [1, sys.maxsize + 1], [sys.maxsize + 1, sys.maxsize + 1], 10**400, [1, 10**400], [2, 10**5000],
+], ids=["maxsize+1", "1-maxsize+1", "both-maxsize+1", "10**400", "1-10**400", "2-10**5000"])
+def test_a_chain_longer_than_an_index_is_a_config_error(n_repeaters):
+    # no such sweep is ever run: _plan must refuse it before it builds a cell
+    config = SweepConfig(family="werner", sample_count=1, n_repeaters=n_repeaters)
+    with pytest.raises(ConfigError, match="n_repeaters"):
+        sweep_module._plan(config)
+
+
+@pytest.mark.parametrize("field, value", [("seed", 10**5000), ("eta_spec", [0.5, 10**5000]),
+                                          ("n_repeaters", 10**5000)], ids=["seed", "eta_spec", "n_repeaters"])
+def test_an_int_too_long_to_print_is_still_a_config_error(field, value):
+    # repr of an int beyond Python's digit limit raises ValueError; the error message must not
+    config = SweepConfig(family="werner", sample_count=1, **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        sweep_module._plan(config)
