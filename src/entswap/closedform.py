@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParametersError
 from .measures import FLAG_MARGIN, _werner_concurrence, concurrence_bds
-from .states import BdsParams, _in_unit_interval, _is_complex, _unchecked, check_visibility
+from .states import BdsParams, _as_bds_params, _as_reals, _in_unit_interval, _unchecked, check_visibility
 from .swap import NoiseModel, _as_noise
 
 #: Returned by max_entangled_swaps when no number of swaps kills entanglement.
@@ -53,42 +53,12 @@ def _check_stack_shapes(columns) -> None:
         raise DomainError(f"the link columns of a stack must share one shape, got {shapes}")
 
 
-def _as_visibility(p) -> float | np.ndarray:
-    """A link's visibility as a float, or a float copy of an array of them.
-
-    Anything else, a complex value included, raises InvalidParametersError.
-    """
+def _as_links(links) -> tuple:
+    """A chain's links as a tuple; links that are not a sequence raise InvalidParametersError."""
     try:
-        # numpy would cast complex values to their real parts, with a warning only
-        if _is_complex(p):
-            raise TypeError("a complex visibility")
-        return np.array(p, dtype=float) if isinstance(p, np.ndarray) else float(p)
-    except (TypeError, ValueError):
-        raise InvalidParametersError(f"a visibility is a number or an array of them, got {p!r}") from None
-
-
-def _as_triple(t) -> BdsParams:
-    """A BdsParams as is; anything else unpacked as three numbers, or the three arrays of a stack.
-
-    Anything that does not unpack into three raises InvalidParametersError,
-    as BdsParams does for values that are not numbers.
-    """
-    if isinstance(t, BdsParams):
-        return t
-    try:
-        t1, t2, t3 = t
-    except (TypeError, ValueError):
-        raise InvalidParametersError(f"a correlation triple is three numbers or three arrays, got {t!r}") from None
-    return BdsParams(t1, t2, t3)
-
-
-def _as_links(links, convert) -> tuple:
-    """Each of a chain's links through ``convert``; links that are not a sequence raise InvalidParametersError."""
-    try:
-        links = tuple(links)
+        return tuple(links)
     except TypeError:
         raise InvalidParametersError(f"a chain's links are a sequence, got {links!r}") from None
-    return tuple(map(convert, links))
 
 
 @dataclass(frozen=True)
@@ -96,21 +66,22 @@ class WernerChainQuery:
     """n+1 link visibilities plus n per-node success probabilities.
 
     Each visibility is a float, or for a stack of N chains a float array
-    of shape (N,) holding that link of every chain.
+    of shape (N,) holding that link of every chain, read as a read-only float copy.
     """
 
     ps: tuple[float | np.ndarray, ...]
     etas: NoiseModel
 
     def __post_init__(self):
-        ps = _as_links(self.ps, _as_visibility)
+        try:
+            ps = tuple(map(_as_reals, _as_links(self.ps)))
+        except (TypeError, ValueError):
+            raise InvalidParametersError(f"a visibility is a number or an array of them, got {self.ps!r}") from None
         object.__setattr__(self, "ps", ps)
         object.__setattr__(self, "etas", _as_noise(self.etas))
         self.etas.check_links(len(ps))
         _check_stack_shapes(ps)
         for p in ps:
-            if isinstance(p, np.ndarray):
-                p.flags.writeable = False
             check_visibility(p)
 
     @cached_property
@@ -131,7 +102,7 @@ class BdsChainQuery:
     etas: NoiseModel
 
     def __post_init__(self):
-        object.__setattr__(self, "ts", _as_links(self.ts, _as_triple))
+        object.__setattr__(self, "ts", tuple(map(_as_bds_params, _as_links(self.ts))))
         object.__setattr__(self, "etas", _as_noise(self.etas))
         self.etas.check_links(len(self.ts))
         _check_stack_shapes([t.t1 for t in self.ts])

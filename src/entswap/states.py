@@ -9,6 +9,7 @@ by the measuring node.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,40 +59,43 @@ def _any(mask) -> bool:
     return bool(mask.any() if mask.ndim else mask)
 
 
-def _is_complex(x) -> bool:
-    """True for a complex number, numpy's included, or a complex array.
-
-    numpy orders complex values, which Python does not, and float() of a
-    numpy complex drops its imaginary part with a warning only, so a
-    complex value must be refused by its type.
-    """
-    return isinstance(x, (complex, np.complexfloating)) or (isinstance(x, np.ndarray) and x.dtype.kind == "c")
+#: What float() or numpy reads as a real number but is not one: complex values, whose imaginary part a
+#: cast drops with a warning only, text, which float() parses, and bools.  A sweep config refuses them too.
+_NOT_NUMBERS = (complex, np.complexfloating, str, bytes, bool, np.bool_)
 
 
-#: Types that float() reads, or that compare as numbers, but that are not numbers: text, which
-#: float() parses, and bools, which read as 0 and 1.  A sweep config refuses them too (sweep._is_real).
-_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+def _is_real(x) -> bool:
+    """The library's one rule for a real number: no complex value, text or bool; arrays of int or float dtype only."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "iuf"
+    return not isinstance(x, _NOT_NUMBERS)
 
 
 def _as_real(x) -> float:
-    """float(x), refusing a complex value, text or a bool with TypeError, as float() refuses a Python complex."""
-    if _is_complex(x) or isinstance(x, _NOT_NUMBERS):
-        raise TypeError(f"{x!r} is not a real number")
-    return float(x)
+    """float(x) of one real number; anything else raises TypeError, and an int beyond a float ValueError."""
+    if not _is_real(x) or getattr(x, "ndim", 0):
+        raise TypeError(f"{type(x).__name__} is not a real number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("an int too large for a float") from None
+
+
+def _as_reals(x) -> float | np.ndarray:
+    """_as_real of one number; an array of int or float dtype as a read-only float copy."""
+    if not isinstance(x, np.ndarray):
+        return _as_real(x)
+    if not _is_real(x):
+        raise TypeError(f"an array of dtype {x.dtype} is not an array of real numbers")
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
 
 
 def _in_unit_interval(x) -> bool:
-    """0 <= x <= 1 for one real number.
-
-    False for NaN, for a complex value, for text or a bool, for an array
-    of one or more dimensions and for what does not compare as one
-    number, such as None or a list.
-    """
+    """0 <= x <= 1 for one real number; False for NaN and for anything :func:`_as_real` refuses."""
     try:
-        return (
-            not _is_complex(x) and not isinstance(x, _NOT_NUMBERS) and not getattr(x, "ndim", 0)
-            and bool(0.0 <= x <= 1.0)
-        )
+        return 0.0 <= _as_real(x) <= 1.0
     except (TypeError, ValueError):
         return False
 
@@ -207,7 +211,7 @@ class BlochForm:
     range values (beyond fp slack) are rejected.  Physicality of the full
     reconstruction is checked by :func:`make_general`, not here.  Leading
     axes of r, shared by s and T, make a stack of forms, each member
-    checked alike.
+    checked alike.  r, s and T are int or float arrays, copied read-only.
     """
 
     r: np.ndarray
@@ -215,18 +219,21 @@ class BlochForm:
     T: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.r, dtype=float)
-        s = np.asarray(self.s, dtype=float).reshape(r.shape).copy()
-        T = np.asarray(self.T, dtype=float).reshape(r.shape + (3,)).copy()
+        try:
+            r = _as_reals(self.r)
+            if np.shape(r)[-1:] != (3,):
+                raise ValueError("r is not a stack of 3-vectors")
+            s = np.reshape(_as_reals(self.s), r.shape)
+            T = np.reshape(_as_reals(self.T), r.shape + (3,))
+        except (TypeError, ValueError):  # not arrays of real numbers, or of mismatched shapes
+            raise InvalidParametersError("r and s must be real arrays of shape (..., 3), T of (..., 3, 3)") from None
         slack = 1.0 + 1e-9
         # "not within the bound" rather than "beyond it", so NaN fails too
         if _any(~((r * r).sum(axis=-1) <= slack**2)) or _any(~((s * s).sum(axis=-1) <= slack**2)):
             raise InvalidParametersError("Bloch vectors must have norm <= 1")
         if not np.abs(T).max(initial=0.0) <= slack:
             raise InvalidParametersError("correlation matrix entries must lie in [-1, 1]")
-        for arr, name in ((r, "r"), (s, "s"), (T, "T")):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        self.__dict__.update(r=r, s=s, T=T)
 
 
 @dataclass(frozen=True)
@@ -242,16 +249,15 @@ class WernerParams:
 def check_visibility(p: float | np.ndarray) -> None:
     """Raise DomainError unless the Werner visibility p lies in [0, 1].
 
-    An array is checked whole; when it fails, its first bad member raises
-    what it raises alone.
+    An array of int or float dtype is checked whole; when it fails, its
+    first bad member raises what it raises alone.  An array of any other
+    dtype fails whole.
     """
     if isinstance(p, np.ndarray):
-        try:
-            # "not within [0, 1]" rather than "beyond it", so NaN fails too; numpy orders complex
-            # values, which Python does not, so every member of a complex array fails as it fails alone
-            outside = ~((0.0 <= p) & (p <= 1.0)) | _is_complex(p)
-        except TypeError:  # strings, or objects that do not compare with a float: each member raises alone
-            outside = np.ones(p.shape, dtype=bool)
+        if not _is_real(p):
+            raise DomainError(f"visibility must lie in [0, 1], got an array of dtype {p.dtype}")
+        # "not within [0, 1]" rather than "beyond it", so NaN fails too
+        outside = ~((0.0 <= p) & (p <= 1.0))
         if outside.any():
             _raise_first_failure(check_visibility, p[outside].tolist())
     elif not _in_unit_interval(p):
@@ -264,9 +270,10 @@ class BdsParams:
 
     Valid triples are the points of the tetrahedron whose four vertex
     weights (the Bell-basis eigenvalues) are all non-negative.  Three
-    float arrays of one shape make a stack of triples, one per entry,
-    each member checked alike; the arrays are copied read-only.  Arrays
-    mixed with floats, in any order, are refused as a malformed stack.
+    numbers are stored as floats.  Three int or float arrays of one shape
+    make a stack of triples, one per entry, each member checked alike;
+    the arrays are copied read-only as float arrays.  Arrays mixed with
+    numbers, in any order, are refused as a malformed stack.
     """
 
     t1: float | np.ndarray
@@ -274,20 +281,17 @@ class BdsParams:
     t3: float | np.ndarray
 
     def __post_init__(self):
-        t1, t2, t3 = self.t1, self.t2, self.t3
-        if isinstance(t1, np.ndarray) or isinstance(t2, np.ndarray) or isinstance(t3, np.ndarray):
+        if any(isinstance(t, np.ndarray) for t in self.as_tuple()):
             self._check_stack()
             return
-        # three plain checks: sample_state builds one of these for every accepted bds link
         try:
-            # math.isfinite refuses a string and a Python complex, but reads a numpy complex's real part
-            finite = not _is_complex(t1) and not _is_complex(t2) and not _is_complex(t3) and (
-                math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)
-            )
-        except TypeError:  # a string, None or any other non-number
+            t1, t2, t3 = map(_as_real, self.as_tuple())
+            finite = math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)
+        except (TypeError, ValueError):
             finite = False
         if not finite:
-            raise InvalidParametersError(f"correlations {(t1, t2, t3)} must be finite numbers")
+            raise InvalidParametersError(f"correlations {self.as_tuple()} must be finite numbers")
+        self.__dict__.update(t1=t1, t2=t2, t3=t3)
         smallest = min(bell_weights(t1, t2, t3))
         if smallest < -PSD_TOL:
             raise InvalidParametersError(
@@ -297,17 +301,12 @@ class BdsParams:
 
     def _check_stack(self) -> None:
         try:
-            # numpy would cast complex values to their real parts, with a warning only
-            if any(map(_is_complex, self.as_tuple())):
-                raise TypeError("complex correlations")
-            t1, t2, t3 = columns = [np.array(t, dtype=float) for t in self.as_tuple()]
-        except (TypeError, ValueError):  # strings, complex values, or objects that float() refuses
+            t1, t2, t3 = columns = [_as_reals(t) for t in self.as_tuple()]
+        except (TypeError, ValueError):
             raise InvalidParametersError(f"correlations {self.as_tuple()} must be finite numbers") from None
-        if not all(isinstance(t, np.ndarray) for t in self.as_tuple()) or not t1.shape == t2.shape == t3.shape:
+        if not all(isinstance(t, np.ndarray) for t in columns) or not t1.shape == t2.shape == t3.shape:
             raise InvalidParametersError("a stack of correlation triples needs three arrays of one shape")
-        for column, name in zip(columns, ("t1", "t2", "t3")):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        self.__dict__.update(t1=t1, t2=t2, t3=t3)
         # finiteness first: an inf - inf in the eigenvalues would warn
         bad = ~(np.isfinite(t1) & np.isfinite(t2) & np.isfinite(t3))
         if not bad.any():
@@ -386,16 +385,17 @@ def make_werner(params: WernerParams | float) -> TwoQubitState:
 
 
 def _as_bds_params(params) -> BdsParams:
-    """A BdsParams as is, a stack included; anything else read as three numbers and checked.
+    """A BdsParams as is, a stack included; anything else unpacked as three numbers or three arrays.
 
-    A wrong length or a non-number raises InvalidParametersError.
+    What does not unpack into three raises InvalidParametersError, as
+    BdsParams does for values that are not real numbers.
     """
     if isinstance(params, BdsParams):
         return params
     try:
-        t1, t2, t3 = map(_as_real, params)
+        t1, t2, t3 = params
     except (TypeError, ValueError):
-        raise InvalidParametersError(f"a correlation triple is three numbers, got {params!r}") from None
+        raise InvalidParametersError(f"a correlation triple is three numbers or three arrays, got {params!r}") from None
     return BdsParams(t1, t2, t3)
 
 
@@ -482,9 +482,14 @@ def partial_trace_mid(state):
 
 def apply_local(state: TwoQubitState, left_pauli: int, right_pauli: int) -> TwoQubitState:
     """Conjugate a state by sigma_a (x) sigma_b (Pauli indices 0..3)."""
-    if left_pauli not in (0, 1, 2, 3) or right_pauli not in (0, 1, 2, 3):
+    try:
+        # operator.index refuses a float or an array, and _is_real a bool, which it would read as 0 or 1
+        a, b = (operator.index(i if _is_real(i) else None) for i in (left_pauli, right_pauli))
+    except TypeError:
+        a = b = -1
+    if not (0 <= a <= 3 and 0 <= b <= 3):
         raise DomainError("Pauli indices must be integers in 0..3")
-    u = _PAIR[int(left_pauli), int(right_pauli)]
+    u = _PAIR[a, b]
     # Paulis are Hermitian and self-inverse, so conjugation is u @ m @ u.
     return TwoQubitState(u @ _as_matrix(state) @ u)
 
