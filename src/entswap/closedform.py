@@ -37,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, InvalidParametersError
+from .errors import DomainError, InvalidParametersError, _shown
 from .measures import FLAG_MARGIN, _werner_concurrence, concurrence_bds
 from .states import BdsParams, _as_bds_params, _as_reals, _in_unit_interval, _unchecked, check_visibility
 from .swap import NoiseModel, _as_noise
@@ -58,7 +58,7 @@ def _as_links(links) -> tuple:
     try:
         return tuple(links)
     except TypeError:
-        raise InvalidParametersError(f"a chain's links are a sequence, got {links!r}") from None
+        raise InvalidParametersError(f"a chain's links are a sequence, got {_shown(links)}") from None
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,9 @@ class WernerChainQuery:
         try:
             ps = tuple(map(_as_reals, _as_links(self.ps)))
         except (TypeError, ValueError):
-            raise InvalidParametersError(f"a visibility is a number or an array of them, got {self.ps!r}") from None
+            raise InvalidParametersError(
+                f"a visibility is a number or an array of them, got {_shown(self.ps)}"
+            ) from None
         object.__setattr__(self, "ps", ps)
         object.__setattr__(self, "etas", _as_noise(self.etas))
         self.etas.check_links(len(ps))
@@ -228,9 +230,9 @@ def max_entangled_swaps(eta: float, p: float) -> int | float:
     """
     # _in_unit_interval refuses what is not one real number, so a string or a complex value raises DomainError too
     if not (_in_unit_interval(eta) and eta > 0.0):
-        raise DomainError(f"eta must lie in (0, 1], got {eta}")
+        raise DomainError(f"eta must lie in (0, 1], got {_shown(eta, str)}")
     if not (_in_unit_interval(p) and p > 1.0 / 3.0):
-        raise DomainError(f"p must lie in (1/3, 1], got {p}")
+        raise DomainError(f"p must lie in (1/3, 1], got {_shown(p, str)}")
     if eta == 1.0 and p == 1.0:
         return UNBOUNDED
     # the survival margin shrinks by log((4-3 eta)/(eta p)) > 0 per swap;

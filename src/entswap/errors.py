@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the printer of the values their messages show."""
 
 
 class EntswapError(Exception):
@@ -27,3 +27,11 @@ class ChainSwapError(EntswapError, RuntimeError):
     def __init__(self, message: str, node: int):
         super().__init__(message)
         self.node = node
+
+
+def _shown(value, form=repr) -> str:
+    """form(value) for an error message; a value holding an int too long to print is described instead."""
+    try:
+        return form(value)
+    except ValueError:  # an int beyond sys.get_int_max_str_digits()
+        return "a value holding an int too long to print"

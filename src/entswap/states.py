@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParametersError, InvalidStateError
+from .errors import DomainError, InvalidParametersError, InvalidStateError, _shown
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -261,7 +261,7 @@ def check_visibility(p: float | np.ndarray) -> None:
         if outside.any():
             _raise_first_failure(check_visibility, p[outside].tolist())
     elif not _in_unit_interval(p):
-        raise DomainError(f"visibility must lie in [0, 1], got {p}")
+        raise DomainError(f"visibility must lie in [0, 1], got {_shown(p, str)}")
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,7 @@ class BdsParams:
         except (TypeError, ValueError):
             finite = False
         if not finite:
-            raise InvalidParametersError(f"correlations {self.as_tuple()} must be finite numbers")
+            raise InvalidParametersError(f"correlations {_shown(self.as_tuple())} must be finite numbers")
         self.__dict__.update(t1=t1, t2=t2, t3=t3)
         smallest = min(bell_weights(t1, t2, t3))
         if smallest < -PSD_TOL:
@@ -303,7 +303,7 @@ class BdsParams:
         try:
             t1, t2, t3 = columns = [_as_reals(t) for t in self.as_tuple()]
         except (TypeError, ValueError):
-            raise InvalidParametersError(f"correlations {self.as_tuple()} must be finite numbers") from None
+            raise InvalidParametersError(f"correlations {_shown(self.as_tuple())} must be finite numbers") from None
         if not all(isinstance(t, np.ndarray) for t in columns) or not t1.shape == t2.shape == t3.shape:
             raise InvalidParametersError("a stack of correlation triples needs three arrays of one shape")
         self.__dict__.update(t1=t1, t2=t2, t3=t3)
@@ -364,7 +364,7 @@ def bell_state(index: str) -> TwoQubitState:
     try:
         triple = _BELL_TRIPLES[index]
     except (KeyError, TypeError):
-        raise DomainError(f"unknown Bell state {index!r}") from None
+        raise DomainError(f"unknown Bell state {_shown(index)}") from None
     return make_bell_diagonal(triple)
 
 
@@ -377,7 +377,7 @@ def make_werner(params: WernerParams | float) -> TwoQubitState:
         try:
             p = _as_real(params)
         except (TypeError, ValueError):
-            raise InvalidParametersError(f"a visibility is one number, got {params!r}") from None
+            raise InvalidParametersError(f"a visibility is one number, got {_shown(params)}") from None
         params = WernerParams(p)
     elif np.ndim(params.p):
         raise InvalidParametersError("make_werner builds one state, got a stack of visibilities")
@@ -395,7 +395,9 @@ def _as_bds_params(params) -> BdsParams:
     try:
         t1, t2, t3 = params
     except (TypeError, ValueError):
-        raise InvalidParametersError(f"a correlation triple is three numbers or three arrays, got {params!r}") from None
+        raise InvalidParametersError(
+            f"a correlation triple is three numbers or three arrays, got {_shown(params)}"
+        ) from None
     return BdsParams(t1, t2, t3)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainSwapError, DomainError, EntswapError
+from .errors import ChainSwapError, DomainError, EntswapError, _shown
 from .states import _PAIR, TwoQubitState, _in_unit_interval, bell_state
 
 #: Bell measurement outcomes in a fixed reporting order.
@@ -96,7 +96,7 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 def _check_eta(eta: float) -> float:
     if not _in_unit_interval(eta):
-        raise DomainError(f"measurement success probability must lie in [0, 1], got {eta}")
+        raise DomainError(f"measurement success probability must lie in [0, 1], got {_shown(eta, str)}")
     return float(eta)
 
 
@@ -110,7 +110,7 @@ class NoiseModel:
         try:
             object.__setattr__(self, "etas", tuple(map(_check_eta, self.etas)))
         except TypeError:  # not a sequence; _check_eta refuses a non-number member itself
-            raise DomainError(f"etas must be a sequence of success probabilities, got {self.etas!r}") from None
+            raise DomainError(f"etas must be a sequence of success probabilities, got {_shown(self.etas)}") from None
 
     def __len__(self) -> int:
         return len(self.etas)
@@ -278,7 +278,7 @@ def _chain_matrices(links, noise, mode: str) -> np.ndarray:
     chain alone.
     """
     if mode not in ("paper", "povm"):
-        raise DomainError(f"mode must be 'paper' or 'povm', got {mode!r}")
+        raise DomainError(f"mode must be 'paper' or 'povm', got {_shown(mode)}")
     step = _swap_once_matrix if mode == "paper" else _swap_once_povm_matrix
     if isinstance(noise, NoiseModel):
         etas = noise.etas

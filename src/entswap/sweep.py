@@ -27,16 +27,16 @@ cell: each cell's node scale is a row of one (cells, N) final, and each
 closed form is called once per cell on a query that reads its row.  On the
 oracle all cells of an n are one stack of at most CHUNK_SIZE chains
 (cells x samples): a chunk holds CHUNK_SIZE // cells samples, and each
-node's eta is a column over the cells.  A general chunk drawn without
-entangled_inputs_only reads each link's normals through _SampleNormals,
-then forms every G, G G+ and trace as one stack (_hilbert_schmidt), and
-checks and Pauli-decomposes that stack, member by member, so each link
-gets the bits it gets formed and checked alone.  A random chunk's input
-concurrences are read off its stack in one call.  A single chain
-(evaluate_chain) is the stack of one chain in one cell.  Each cell's
-row of a chunk's results is kept with the chunk's columns as one block,
-and run_sweep returns the blocks as a SweepRecords: a sequence that
-builds a SweepRecord only when one is read, and from whose columns
+node's eta is a column over the cells.  A general chunk reads each
+link's normals through _SampleNormals, even with entangled_inputs_only
+(whose tries are checked alone only to be kept or not), then forms every
+G G+ / Tr as one stack (_hilbert_schmidt), and checks and decomposes it
+member by member, so each link gets the bits it gets formed and checked
+alone.  A random chunk's c_in is read off its stack in one call.  A
+single chain (evaluate_chain) is the stack of one chain in one cell.
+Each cell's row of a chunk's results is kept with the chunk's columns as
+one block, and run_sweep returns the blocks as a SweepRecords: a sequence
+that builds a SweepRecord only when one is read, and from whose columns
 write_csv reads its rows without building any.
 ENTSWAP_THREADS must be an integer if set, but it selects nothing.
 """
@@ -64,7 +64,7 @@ from .closedform import (
     werner_chain_fidelity,
     werner_final_visibility,
 )
-from .errors import ConfigError, InvalidStateError
+from .errors import ConfigError, InvalidStateError, _shown
 from .measures import (
     _werner_concurrence,
     concurrence,
@@ -316,10 +316,10 @@ class _SampleNormals:
 
     It reads by the same ``normal`` calls as the generator itself, so every
     try draws the same G.  Only the type differs: a general link drawn
-    from it without entangled_inputs_only comes back from sample_state as
-    the two real (4, 4) normal arrays of its G, for a sweep that forms,
-    checks and decomposes its chunk's links as one stack.  One serves a
-    sweep's n: the generator it wraps is restarted for each sample.
+    from it comes back from sample_state as the two real (4, 4) normal
+    arrays of its G, for a sweep that forms, checks and decomposes its
+    chunk's links as one stack.  One serves a sweep's n: the generator it
+    wraps is restarted for each sample.
     """
 
     __slots__ = ("normal",)
@@ -354,22 +354,21 @@ def sample_state(
     checks each chunk's stack once.
 
     With ``dense=False`` a werner or bds link comes back as (params, None):
-    its dense state is not built.  A general link is drawn as its dense
-    state, so it is returned either way.  The stream is consumed the same
+    its dense state is not built.  A general link comes back the same
+    whatever ``dense`` is (see below).  The stream is consumed the same
     way in both cases.
 
     A general try reads two ``normal((4, 4))`` calls, A and B, and
     G = A + iB.  A random sweep hands each general sample a
-    _SampleNormals, which reads the same normals.  A link drawn from it
-    without entangled_inputs_only comes back as (None, (A, B)): its two
-    real arrays, with no complex build, product or normalisation.  The
-    sweep forms G, G G+ and the trace of its chunk's links as one stack
-    (_hilbert_schmidt), then checks and decomposes that stack, member by
-    member, so each link gets the bits its own _hilbert_schmidt,
-    TwoQubitState and pauli_decompose would give it.  Any other try forms
-    its one matrix by the same _hilbert_schmidt.  With
-    entangled_inputs_only every try is checked alone: its concurrence
-    decides whether another is drawn.
+    _SampleNormals, which reads the same normals.  ``rng`` alone decides
+    what comes back: (None, (A, B)), the two real arrays, for a
+    _SampleNormals, and (BlochForm, TwoQubitState) for a Generator.  The
+    sweep forms, checks and decomposes its chunk's links as one stack,
+    member by member, so each link gets the bits its own _hilbert_schmidt,
+    TwoQubitState and pauli_decompose would give it.  With
+    entangled_inputs_only every try is also formed and checked alone: its
+    concurrence decides whether another is drawn, and nothing else, so no
+    checked matrix is checked again (the clamp is not idempotent).
     """
     if family == "werner":
         tries = rng if isinstance(rng, _SampleUniforms) else iter(rng.random, None)
@@ -393,16 +392,16 @@ def sample_state(
             params = _unchecked(BdsParams, t1=t1, t2=t2, t3=t3)
             return params, make_bell_diagonal(params) if dense else None
     elif family == "general":
+        normals = isinstance(rng, _SampleNormals)
         for _ in range(_MAX_REJECTIONS):
             a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-            if not entangled_inputs_only and isinstance(rng, _SampleNormals):
-                return None, (a, b)
-            state = TwoQubitState(_hilbert_schmidt(a + 1j * b))
-            if entangled_inputs_only and concurrence(state) <= 0.0:
-                continue
-            return pauli_decompose(state), state
+            if entangled_inputs_only or not normals:
+                state = TwoQubitState(_hilbert_schmidt(a + 1j * b))
+                if entangled_inputs_only and concurrence(state) <= 0.0:
+                    continue
+            return (None, (a, b)) if normals else (pauli_decompose(state), state)
     else:
-        raise ConfigError(f"unknown family {family!r}")
+        raise ConfigError(f"unknown family {_shown(family)}")
     raise ConfigError(f"rejection sampling for {family!r} did not converge")
 
 
@@ -416,38 +415,30 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _shown(value) -> str:
-    """repr(value) for an error message; a value holding an int too long to print is described instead."""
-    try:
-        return repr(value)
-    except ValueError:  # an int beyond sys.get_int_max_str_digits()
-        return "a value holding an int too long to print"
-
-
 def _plan(config: SweepConfig) -> list[tuple[int, float | list, tuple[float, ...]]]:
     """Check every config value; return the cells as (n, json eta label, per-node etas)."""
     choices = {"family": FAMILIES, "mode": MODES, "engine": ENGINES, "swap_mode": SWAP_MODES}
     for field, allowed in choices.items():
         value = getattr(config, field)
         if value not in allowed:
-            raise ConfigError(f"{field} must be one of {allowed}, got {value!r}")
+            raise ConfigError(f"{field} must be one of {allowed}, got {_shown(value)}")
     check_engine(config.family, config.engine, config.swap_mode)
     if config.mode == "random":
-        if not _is_count(config.sample_count) or config.sample_count < 1:
-            raise ConfigError("random mode requires sample_count >= 1")
+        if not _is_count(config.sample_count) or not 1 <= config.sample_count <= sys.maxsize:
+            raise ConfigError("random mode requires 1 <= sample_count <= sys.maxsize")
         if config.grid_steps is not None:
             raise ConfigError("grid_steps is only valid in grid mode")
     else:
         if config.family == "general":
             raise ConfigError("grid mode is only defined for the werner and bds families")
-        if not _is_count(config.grid_steps) or config.grid_steps < 1:
-            raise ConfigError("grid mode requires grid_steps >= 1")
+        if not _is_count(config.grid_steps) or not 1 <= config.grid_steps <= sys.maxsize:
+            raise ConfigError("grid mode requires 1 <= grid_steps <= sys.maxsize")
         if config.sample_count is not None:
             raise ConfigError("sample_count is only valid in random mode")
     if not _is_count(config.seed) or not 0 <= config.seed <= _SEED_MASK:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {_shown(config.seed)}")
     if not isinstance(config.entangled_inputs_only, bool):
-        raise ConfigError(f"entangled_inputs_only must be true or false, got {config.entangled_inputs_only!r}")
+        raise ConfigError(f"entangled_inputs_only must be true or false, got {_shown(config.entangled_inputs_only)}")
 
     bounds = [config.n_repeaters] * 2 if _is_count(config.n_repeaters) else config.n_repeaters
     # a chain longer than sys.maxsize cannot be indexed: its cell's etas tuple alone would overflow
@@ -572,18 +563,21 @@ def _link_stack(family: str, engine: str, params, states):
     """What the engine reads of N equally long chains, built once for every eta cell.
 
     ``params[j]`` holds chain j's link parameters and ``states[j]`` its
-    drawn dense links, read only for the general family.  The closedform
-    engine reads the chunk's :func:`_parameter_stack`, checked once.  The
-    oracle reads the (n+1, N, 4, 4) stack of dense links, [k, j] being
-    chain j's k-th link; it builds Werner and BDS links from their
-    parameters.
+    drawn (A, B) normals, read only for the general family.  The
+    closedform engine reads the chunk's :func:`_parameter_stack`, checked
+    once.  The oracle reads the (n+1, N, 4, 4) stack of dense links, [k, j]
+    being chain j's k-th link: Werner and BDS links built from their
+    parameters, general ones formed by one :func:`_hilbert_schmidt` call
+    and checked once (:func:`_checked_general_links`).
     """
     if engine == "closedform":
         return _parameter_stack(family, params)
-    if family != "general":
-        maker = make_werner if family == "werner" else make_bell_diagonal
-        states = [[maker(p) for p in chain] for chain in params]
-    return np.array([[state.matrix for state in column] for column in zip(*states)])
+    if family == "general":
+        # each link's two (4, 4) normals, as an (n+1, N, 2, 4, 4) stack
+        pairs = np.array(list(zip(*states)))
+        return _checked_general_links(_hilbert_schmidt(pairs[:, :, 0] + 1j * pairs[:, :, 1]))
+    maker = make_werner if family == "werner" else make_bell_diagonal
+    return np.array([[maker(p).matrix for p in column] for column in zip(*params)])
 
 
 def _parameter_stack(family: str, params):
@@ -643,20 +637,14 @@ def _random_links(config: SweepConfig, n: int, chunk_size: int):
     a Werner or BDS sample's through its _SampleUniforms, a block at a
     time, and a general sample's through _SampleNormals, by the
     generator's own normal calls.  Werner and BDS samples are drawn as
-    parameters only, and a chunk's links are its :func:`_link_stack`.  A
-    general chunk drawn without entangled_inputs_only is drawn as the
-    real normals of each link's G, stacked to (n+1, N, 2, 4, 4).  The
-    chunk builds every G elementwise, forms G G+ / Tr(G G+) by one
-    :func:`_hilbert_schmidt` call, checks the (n+1, N) stack once
-    (:func:`_checked_general_links`) and decomposes it by one
-    pauli_decompose call; each link's parameters are its row of that
-    stack.  With entangled_inputs_only each general link is formed,
-    checked and decomposed alone, as its try is drawn.  A chunk's c_in is
-    read off its stack.
+    parameters only, and general samples as the real normals of each
+    link's G, with or without entangled_inputs_only.  Every chunk's links
+    are its :func:`_link_stack`.  A general chunk then decomposes that
+    checked stack by one pauli_decompose call; each link's parameters are
+    its row of that stack.  A chunk's c_in is read off its stack.
     """
     rng = link_generator(config.seed, 0)
     general = config.family == "general"
-    stacked = general and not config.entangled_inputs_only
     normals = _SampleNormals(rng)
     for start in range(0, config.sample_count, chunk_size):
         indices = range(start, min(start + chunk_size, config.sample_count))
@@ -670,13 +658,9 @@ def _random_links(config: SweepConfig, n: int, chunk_size: int):
             ))
             params.append(drawn)
             states.append(dense)
-        if stacked:
-            # each link's two (4, 4) normals, as an (n+1, N, 2, 4, 4) stack
-            pairs = np.array(list(zip(*states)))
-            links = _checked_general_links(_hilbert_schmidt(pairs[:, :, 0] + 1j * pairs[:, :, 1]))
+        links = _link_stack(config.family, config.engine, params, states)
+        if general:
             params = _bloch_rows(pauli_decompose(links))
-        else:
-            links = _link_stack(config.family, config.engine, params, states)
         yield indices, params, _stacked_input_concurrences(config.family, config.engine, params, links), links
 
 

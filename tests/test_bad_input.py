@@ -20,21 +20,27 @@ from entswap import (
     ChainSpec,
     EntswapError,
     NoiseModel,
+    SweepConfig,
     WernerChainQuery,
     WernerParams,
     apply_local,
+    bell_state,
+    chain_swap,
     concurrence_bds,
     concurrence_werner,
+    link_generator,
     make_bell_diagonal,
     make_werner,
     max_entangled_swaps,
     noisy_bell_measurement_ops,
     octahedron_separable,
+    sample_state,
     subset_sum_normalization,
     swap_once,
     swap_once_povm,
 )
 from entswap.states import check_visibility
+from entswap.sweep import _plan
 
 _STATE = make_werner(0.9)
 
@@ -144,3 +150,29 @@ def test_every_entry_point_takes_real_numbers(entry, key):
     # float arrays where it takes a stack
     call, valid = ENTRY_POINTS[entry]
     call(valid[key])
+
+
+def _plan_with(field):
+    """A call that plans a one-cell Werner sweep whose config field ``field`` holds the value."""
+    return lambda x: _plan(SweepConfig(**{"family": "werner", "sample_count": 1, field: x}))
+
+
+# arguments that name a choice or an index, which the error message prints when it refuses one:
+# the config fields _plan checks against a list of choices, a Bell state, a swap mode and a family
+CHOICES = {
+    **{f"_plan-{field}": _plan_with(field)
+       for field in ("family", "mode", "engine", "swap_mode", "entangled_inputs_only")},
+    "bell_state": bell_state,
+    "chain_swap-mode": lambda x: chain_swap(ChainSpec((_STATE, _STATE), (1.0,)), mode=x),
+    "sample_state-family": lambda x: sample_state(x, link_generator(0, 0)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [*ENTRY_POINTS, *CHOICES])
+def test_an_int_too_long_to_print_is_refused_as_any_bad_value_is(entry):
+    # repr and str of an int beyond sys.get_int_max_str_digits() raise ValueError: an error
+    # message that shows the refused value must describe it instead
+    call = CHOICES[entry] if entry in CHOICES else ENTRY_POINTS[entry][0]
+    with pytest.raises(EntswapError):
+        call(10**5000)

@@ -1757,6 +1757,99 @@ def test_stacked_general_links_equal_the_per_link_draws(monkeypatch, seed, n, co
     assert rechecked > 0
 
 
+def _entangled_clamped_normals(links: int) -> list:
+    """The normals of ``links`` rank-deficient draws (see above) that are entangled and that the check clamps.
+
+    Each G G+ / Tr(G G+), made Hermitian as the check makes it, has a
+    negative smallest eigenvalue, so TwoQubitState clamps it; its
+    concurrence is positive, so entangled_inputs_only keeps it.
+    """
+    rng, normals = np.random.default_rng(2025), []
+    while len(normals) < 2 * links:
+        a, b = rng.normal(size=(2, 4, 4))
+        a[1], b[1] = a[0], b[0]
+        m = sweep_module._hilbert_schmidt(a + 1j * b)
+        if np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0] < 0.0 and concurrence(TwoQubitState(m)) > 0.0:
+            normals += [a, b]
+    return normals
+
+
+@pytest.mark.parametrize("seed, n, count, chunk_size", [
+    (3, 1, 17, 7),
+    (29, 2, 40, 40),
+    (2**64 - 1, 3, 12, 5),
+    (0, 4, 9, 4),
+], ids=["n1-three-chunks", "n2-one-chunk", "n3-largest-seed", "n4-three-chunks"])
+def test_stacked_entangled_general_links_equal_the_per_link_draws(monkeypatch, seed, n, count, chunk_size):
+    # with entangled_inputs_only each try is formed and checked alone for its concurrence, and the
+    # chunk then forms, checks and decomposes the kept links as one stack: every matrix, Bloch form
+    # and c_in must equal, bit for bit, what drawing each link alone gives.  One sample's links come
+    # from entangled rank-deficient G's that the check clamps, and a clamped link checked a second
+    # time changes: the stack must check the raw formed links, never a try's checked matrix.
+    script, clamped = _entangled_clamped_normals(n + 1), count // 2
+    monkeypatch.setattr(sweep_module, "link_generator", lambda s, index: _ScriptedNormals(s, clamped, script))
+    reference = _ScriptedNormals(seed, clamped, script)
+    config = SweepConfig(family="general", sample_count=count, n_repeaters=n, seed=seed, engine="oracle",
+                         entangled_inputs_only=True)
+    seen = []
+    for indices, params, c_in, links in _random_links(config, n, chunk_size):
+        expected_params, states = [], []
+        for index in indices:
+            sweep_module._restart(reference, seed, index)
+            drawn, dense = zip(*(sample_state("general", reference, True, dense=False) for _ in range(n + 1)))
+            expected_params.append(drawn)
+            states.append(dense)
+        expected = np.array([[state.matrix for state in column] for column in zip(*states)])
+        assert links.shape == (n + 1, len(indices), 4, 4)
+        assert np.array_equal(links, expected)
+        assert c_in == [tuple(chain) for chain in concurrence(expected).T.tolist()]
+        assert all(c > 0.0 for chain in c_in for c in chain)
+        assert len(params) == len(indices) and all(len(chain) == n + 1 for chain in params)
+        for chain, expected_chain in zip(params, expected_params):
+            for form, expected_form in zip(chain, expected_chain):
+                for name in ("r", "s", "T"):
+                    value, expected_value = getattr(form, name), getattr(expected_form, name)
+                    assert np.array_equal(value, expected_value) and value.shape == expected_value.shape
+                    assert not value.flags.writeable
+        if clamped in indices:
+            # the scripted sample's links are its kept links, each one clamped by its check
+            scripted = links[:, indices.index(clamped)]
+            formed = [sweep_module._hilbert_schmidt(a + 1j * b) for a, b in zip(script[::2], script[1::2])]
+            for link, m in zip(scripted, formed):
+                assert np.array_equal(link, TwoQubitState(m).matrix)
+                assert not np.array_equal(link, (m + m.conj().T) / 2.0)
+                assert not np.array_equal(TwoQubitState(link).matrix, link)
+        seen.extend(indices)
+    assert seen == list(range(count))
+
+
+@pytest.mark.parametrize("entangled_inputs_only", [False, True])
+def test_general_chunks_check_and_decompose_their_links_once(monkeypatch, entangled_inputs_only):
+    # 10 samples in chunks of 8 // 2 cells = 4: every (n, chunk) of a general sweep, with or without
+    # entangled_inputs_only, checks one stack of all its drawn links and Pauli-decomposes it by one
+    # call; no link is decomposed alone
+    monkeypatch.setattr(sweep_module, "CHUNK_SIZE", 8)
+    checked, decomposed = [], []
+    check, decompose = sweep_module._checked_general_links, sweep_module.pauli_decompose
+
+    def counting_check(matrices):
+        checked.append(matrices.shape)
+        return check(matrices)
+
+    def counting_decompose(state):
+        decomposed.append(np.shape(getattr(state, "matrix", state)))
+        return decompose(state)
+
+    monkeypatch.setattr(sweep_module, "_checked_general_links", counting_check)
+    monkeypatch.setattr(sweep_module, "pauli_decompose", counting_decompose)
+    records, _ = run_sweep(SweepConfig(family="general", sample_count=10, n_repeaters=[1, 2], eta_spec=[0.8, 1.0],
+                                       seed=23, entangled_inputs_only=entangled_inputs_only, engine="oracle"))
+    assert len(records) == 2 * 2 * 10
+    stacks = [(n + 1, size, 4, 4) for n in (1, 2) for size in (4, 4, 2)]
+    assert checked == stacks
+    assert decomposed == stacks
+
+
 def test_a_failing_general_link_stack_raises_what_its_first_bad_link_raises_alone():
     # a general chunk's links are drawn chain by chain, link by link: that order, not the
     # stack's rows or its check of all links at once, decides which error a failing stack raises
@@ -2073,6 +2166,17 @@ def test_a_chain_longer_than_an_index_is_a_config_error(n_repeaters):
     config = SweepConfig(family="werner", sample_count=1, n_repeaters=n_repeaters)
     with pytest.raises(ConfigError, match="n_repeaters"):
         sweep_module._plan(config)
+
+
+@pytest.mark.parametrize("mode, field", [("random", "sample_count"), ("grid", "grid_steps")])
+@pytest.mark.parametrize("value", [sys.maxsize + 1, 10**400], ids=["maxsize+1", "10**400"])
+def test_a_count_beyond_an_index_is_a_config_error(mode, field, value):
+    # such a sweep would draw or enumerate without end: _plan must refuse it before it builds a cell
+    config = SweepConfig(family="werner", mode=mode, **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        sweep_module._plan(config)
+    # control: the largest count is planned (and never run)
+    assert sweep_module._plan(dataclasses.replace(config, **{field: sys.maxsize})) == [(1, 1.0, (1.0,))]
 
 
 @pytest.mark.parametrize("field, value", [("seed", 10**5000), ("eta_spec", [0.5, 10**5000]),
